@@ -1065,8 +1065,9 @@ main(int argc, char **argv)
     // product (the format's quantization error — kernel parity
     // against each format's own functional pipeline is verified
     // first, and exhaustively in cross_format_parity_test), and
-    // decode tokens/s with the format's generic kernels resident in
-    // the linear layers and KV pages. Rows are emitted in ascending
+    // decode tokens/s with the format's runtime kernels (per-ISA or
+    // generic, as the codec seam dispatches them) in the linear
+    // layers and KV pages. Rows are emitted in ascending
     // rel_rmse order, so the committed JSON records the accuracy
     // ranking of the formats — the bench-smoke gate asserts the
     // ordering and positive throughput for >= 3 formats.

@@ -119,6 +119,20 @@ class PackedM2xfpTensor
     static PackedM2xfpTensor packWeights(const Matrix &m,
                                          const SgEmQuantizer &q);
 
+    /**
+     * Fast-path weight packing: byte-identical streams to
+     * packWeights(m, q), produced by the runtime's per-ISA Sg-EM
+     * encoder (src/runtime/packed_quantize) and parallelized over
+     * rows on @p pool (null = the global pool). Requires the packed
+     * layout (g32/sg8, 2-bit Sg-EM — asserted); the rule and the
+     * adaptive flag come from @p q. Defined in the m2x_runtime
+     * library.
+     */
+    static PackedM2xfpTensor packWeights(const Matrix &m,
+                                         const SgEmQuantizer &q,
+                                         runtime::ThreadPool *pool,
+                                         runtime::SimdIsa isa);
+
     /** @{
      * Codec-generic functional packers/unpackers: the scalar
      * bit-exact oracle of every registered format, built on each
@@ -138,12 +152,13 @@ class PackedM2xfpTensor
 
     /** @{
      * Codec-generic runtime packing (defined in the m2x_runtime
-     * library): Elem-EM routes through the per-ISA SIMD encoder,
-     * every other codec through its functional row encoder
-     * parallelized over rows — byte-exact against the functional
-     * packers on every tier by construction. emptyActivationsCodec /
-     * appendActivationRowsCodec are the growable KV-cache shape of
-     * the same seam.
+     * library), byte-exact against the functional packers on every
+     * tier: Elem-EM activations route through the per-ISA Elem-EM
+     * encoder; sg_em activations and the weights of every E8M0 codec
+     * through the per-ISA Sg-EM encoder; Elem-EE activations and
+     * M2-NVFP4 through their functional row encoders, parallelized
+     * over rows. emptyActivationsCodec / appendActivationRowsCodec
+     * are the growable KV-cache shape of the same seam.
      */
     static PackedM2xfpTensor packActivationsCodec(
         const Matrix &m, PackedCodec codec, runtime::ThreadPool *pool,
@@ -158,6 +173,9 @@ class PackedM2xfpTensor
     void appendActivationRowsCodec(const float *rows, size_t n_rows,
                                    runtime::SimdIsa isa,
                                    runtime::ThreadPool *pool = nullptr);
+    static PackedM2xfpTensor packWeightsCodec(
+        const Matrix &m, PackedCodec codec, runtime::ThreadPool *pool,
+        runtime::SimdIsa isa);
     /** @} */
 
     /**
@@ -255,6 +273,23 @@ class PackedM2xfpTensor
 
     void setElementCode(size_t r, size_t c, uint8_t code);
     void reserveShape(size_t rows, size_t cols);
+
+    /** The functional one-row encoders' signature (see
+     *  packActivationRowCodec below). */
+    using RowEncodeFn = void (*)(PackedCodec codec, const float *src,
+                                 size_t cols, uint8_t *elems,
+                                 uint8_t *scales, uint8_t *meta);
+
+    /**
+     * Encode @p n_rows rows of @p src into the stream slots from row
+     * @p first_row on: through the per-ISA Sg-EM encoder with @p q's
+     * configuration when @p q is set, else through @p functional_row.
+     * Single rows run inline, more over @p pool. Defined in the
+     * m2x_runtime library.
+     */
+    void encodeRows(const float *src, size_t n_rows, size_t first_row,
+                    const SgEmQuantizer *q, RowEncodeFn functional_row,
+                    runtime::ThreadPool *pool, runtime::SimdIsa isa);
 
     /**
      * Reshape for the fast-path packer, reusing existing stream

@@ -208,6 +208,26 @@ CodecTraits::get(PackedCodec codec)
     return all[i];
 }
 
+DecodeFamily
+decodeFamily(GroupDecodeKind kind, const PackedCodecInfo &info)
+{
+    bool paper_geometry =
+        info.groupSize == PackedM2xfpTensor::groupSize &&
+        info.subgroupSize == PackedM2xfpTensor::subgroupSize &&
+        !info.scaleIsFp8;
+    if (!paper_geometry)
+        return DecodeFamily::Generic;
+    switch (kind) {
+    case GroupDecodeKind::Top1Replace:
+        return DecodeFamily::ElemEm;
+    case GroupDecodeKind::SubgroupMult:
+        return DecodeFamily::SgEm;
+    case GroupDecodeKind::Top1Multiply:
+        break;
+    }
+    return DecodeFamily::Generic;
+}
+
 void
 codecDecodeActivationGroup(const PackedM2xfpTensor &t, size_t row,
                            size_t group, float *out)

@@ -24,9 +24,9 @@
  *
  * The generic kernels are deliberately signature-compatible with the
  * GEMM's DecodeRowFn and the attend's DecodeRowsFn: the drivers pick
- * the ISA kernel for Elem-EM tensors and fall back to these for
- * every other codec, so adding a format never touches a kernel
- * table.
+ * a per-ISA kernel wherever decodeFamily() names one and fall back
+ * to these for every other stream, so adding a format never touches
+ * a kernel table.
  */
 
 #ifndef M2X_RUNTIME_CODEC_TRAITS_HH__
@@ -93,6 +93,34 @@ struct CodecTraits
     /** The process-wide tables of @p codec (built on first use). */
     static const CodecTraits &get(PackedCodec codec);
 };
+
+/** The kernel family that decodes a stream (see decodeFamily). */
+enum class DecodeFamily : uint8_t
+{
+    /** The generic scalar traits kernels below. */
+    Generic,
+    /** The per-ISA Elem-EM kernels (decodeActivationRow{,Avx2},
+     *  the attend tiers' decodeRows). */
+    ElemEm,
+    /** The per-ISA Sg-EM kernels (decodeWeightRow{,Avx2,Avx512}). */
+    SgEm,
+};
+
+/**
+ * The codec seam's decode dispatch rule. It keys on what a stream
+ * is — its group decode kind and geometry — never on the codec name:
+ * a g32/sg8 stream with an E8M0 scale decodes through the per-ISA
+ * kernel family of its kind (SubgroupMult: the Sg-EM kernels, which
+ * covers every E8M0 weight and the sg_em activations and KV pages;
+ * Top1Replace: the Elem-EM kernels); every other stream (Elem-EE's
+ * top-1 multiplier, M2-NVFP4's g16 FP8-scaled geometry) through the
+ * generic kernels. On those geometries the per-ISA kernels read the
+ * same values as the traits tables (decode_lut's FP4, E8M0,
+ * multiplier and FP6 tables equal the E8M0 codecs' CodecTraits), so
+ * the choice never changes a decoded float.
+ */
+DecodeFamily decodeFamily(GroupDecodeKind kind,
+                          const PackedCodecInfo &info);
 
 /** @{
  * Codec-generic scalar decode kernels, dispatching on t.codec().

@@ -157,9 +157,12 @@ struct AttendKernels
     DotHeadsFn dotHeads;
     AccumHeadsFn accumHeads;
     ExpWeightsFn expWeights;
-    DecodeRowsFn decodeRows;
+    DecodeRowsFn decodeRows; //!< Elem-EM pages
     ScorePageFn scorePage;
     AccumPageFn accumPage;
+    /** Sg-EM pages (subgroup-multiplier decode): the GEMM tier's
+     *  decodeWeightRow per row, bit-identical to the traits kernel. */
+    DecodeRowsFn decodeSgEmRows;
 };
 
 /**

@@ -65,12 +65,21 @@ expWeightsScalar(const double *s, double m, size_t n, double *p)
         p[r] = std::exp(s[r] - m);
 }
 
+/** A page decode as one row decode per row. */
+template <DecodeRowFn DecodeRow>
+void
+decodeRowsWith(const PackedM2xfpTensor &t, size_t row0, size_t n_rows,
+               size_t stride, float *out)
+{
+    for (size_t r = 0; r < n_rows; ++r)
+        DecodeRow(t, row0 + r, out + r * stride);
+}
+
 void
 decodeRowsScalar(const PackedM2xfpTensor &t, size_t row0,
                  size_t n_rows, size_t stride, float *out)
 {
-    for (size_t r = 0; r < n_rows; ++r)
-        decodeActivationRow(t, row0 + r, out + r * stride);
+    decodeRowsWith<&decodeActivationRow>(t, row0, n_rows, stride, out);
 }
 
 void
@@ -132,18 +141,21 @@ attendKernels(SimdIsa isa)
 {
     static const AttendKernels scalar{
         &dotHeadsScalar,   &accumHeadsScalar, &expWeightsScalar,
-        &decodeRowsScalar, &scorePageScalar,  &accumPageScalar};
+        &decodeRowsScalar, &scorePageScalar,  &accumPageScalar,
+        &decodeRowsWith<&decodeWeightRow>};
 #ifdef M2X_HAVE_AVX2
     static const AttendKernels avx2{
         &dotHeadsAvx2,   &accumHeadsAvx2, &expWeightsAvx2,
-        &decodeRowsAvx2, &scorePageAvx2,  &accumPageAvx2};
+        &decodeRowsAvx2, &scorePageAvx2,  &accumPageAvx2,
+        &decodeRowsWith<&decodeWeightRowAvx2>};
     if (isa == SimdIsa::Avx2)
         return avx2;
 #endif
 #ifdef M2X_HAVE_AVX512
     static const AttendKernels avx512{
         &dotHeadsAvx512,   &accumHeadsAvx512, &expWeightsAvx512,
-        &decodeRowsAvx512, &scorePageAvx512,  &accumPageAvx512};
+        &decodeRowsAvx512, &scorePageAvx512,  &accumPageAvx512,
+        &decodeRowsWith<&decodeWeightRowAvx512>};
     if (isa == SimdIsa::Avx512)
         return avx512;
 #endif
@@ -546,12 +558,21 @@ KvCache::attendPacked(const Layer &l, const float *q, size_t n_rows,
     const detail::AttendKernels &kern =
         detail::attendKernels(simdIsa());
     // The codec seam: only the page decode is format-sensitive —
-    // Elem-EM pages use the ISA tier's batch decode, other codecs the
-    // generic traits kernel; scores/softmax/value accumulation are
-    // codec-agnostic.
-    detail::DecodeRowsFn decode_rows =
-        arena_->codec() == PackedCodec::ElemEm ? kern.decodeRows
-                                               : &codecDecodeRows;
+    // the ISA tier's batch decode of the pages' decode family
+    // (decodeFamily), else the generic traits kernel;
+    // scores/softmax/value accumulation are codec-agnostic.
+    const CodecTraits &tr = CodecTraits::get(arena_->codec());
+    detail::DecodeRowsFn decode_rows = &codecDecodeRows;
+    switch (decodeFamily(tr.actKind, *tr.info)) {
+    case DecodeFamily::ElemEm:
+        decode_rows = kern.decodeRows;
+        break;
+    case DecodeFamily::SgEm:
+        decode_rows = kern.decodeSgEmRows;
+        break;
+    case DecodeFamily::Generic:
+        break;
+    }
     detail::PagedKvView kview{arena_, l.k.data()};
     detail::PagedKvView vview{arena_, l.v.data()};
     size_t n_blocks = ceilDiv(n_rows, attendBlock);
@@ -759,11 +780,9 @@ KvCache::attendPackedLegacy(const Layer &l, const float *q,
     float inv_sqrt = 1.0f / std::sqrt(static_cast<float>(hd));
     size_t padded_d = arena_->groupsPerRow() *
                       packedCodecInfo(arena_->codec()).groupSize;
-    const detail::GemmKernels &gemm = detail::gemmKernels(simdIsa());
+    const CodecTraits &tr = CodecTraits::get(arena_->codec());
     detail::DecodeRowFn decode_row =
-        arena_->codec() == PackedCodec::ElemEm
-            ? gemm.decodeActivationRow
-            : &codecDecodeActivationRow;
+        detail::rowDecoder(tr.actKind, *tr.info, simdIsa());
     const detail::AttendKernels &kern =
         detail::attendKernels(simdIsa());
     detail::PagedKvView kview{arena_, l.k.data()};

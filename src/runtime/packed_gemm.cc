@@ -108,6 +108,24 @@ gemmKernels(SimdIsa isa)
     return scalar;
 }
 
+DecodeRowFn
+rowDecoder(GroupDecodeKind kind, const PackedCodecInfo &info,
+           SimdIsa isa)
+{
+    const GemmKernels &kern = gemmKernels(isa);
+    switch (decodeFamily(kind, info)) {
+    case DecodeFamily::ElemEm:
+        return kern.decodeActivationRow;
+    case DecodeFamily::SgEm:
+        return kern.decodeWeightRow;
+    case DecodeFamily::Generic:
+        break;
+    }
+    return kind == GroupDecodeKind::SubgroupMult
+               ? &codecDecodeWeightRow
+               : &codecDecodeActivationRow;
+}
+
 GemmBlocking
 normalizeBlocking(SimdIsa isa, size_t mc, size_t kc, size_t nc)
 {
@@ -178,16 +196,14 @@ packedMatmulNtBlocked(const PackedM2xfpTensor &a,
         return;
 
     const detail::GemmKernels &kern = detail::gemmKernels(isa);
-    // The codec seam: Elem-EM tensors decode through the ISA tier's
-    // LUT kernels; every other codec through the generic traits
-    // kernels (bit-identical scalar decode on every tier). The
-    // microkernels are decode-agnostic, so only the two row decoders
-    // are format-sensitive.
-    bool elem_em = a.codec() == PackedCodec::ElemEm;
+    // The codec seam: the microkernels are decode-agnostic, so only
+    // the two row decoders are format-sensitive — chosen by each
+    // operand's decode kind and geometry (decodeFamily).
+    const CodecTraits &tr = CodecTraits::get(a.codec());
     detail::DecodeRowFn decode_act =
-        elem_em ? kern.decodeActivationRow : &codecDecodeActivationRow;
-    detail::DecodeRowFn decode_wt =
-        elem_em ? kern.decodeWeightRow : &codecDecodeWeightRow;
+        detail::rowDecoder(tr.actKind, *tr.info, isa);
+    detail::DecodeRowFn decode_wt = detail::rowDecoder(
+        GroupDecodeKind::SubgroupMult, *tr.info, isa);
     const size_t mr = blocking.mr, nr = blocking.nr;
     const size_t mc = blocking.mc, kc = blocking.kc;
     const size_t nc = blocking.nc;

@@ -45,6 +45,7 @@
 
 #include "core/m2xfp_packed.hh"
 #include "quant/matrix.hh"
+#include "runtime/codec_traits.hh"
 #include "runtime/simd.hh"
 #include "runtime/thread_pool.hh"
 
@@ -121,6 +122,14 @@ struct GemmKernels
  * returns the scalar table (callers guard with simdIsaAvailable).
  */
 const GemmKernels &gemmKernels(SimdIsa isa);
+
+/**
+ * The row decoder for a stream of group decode kind @p kind and
+ * geometry @p info on @p isa: the tier's Elem-EM or Sg-EM kernel
+ * where decodeFamily() names one, else the generic traits kernel.
+ */
+DecodeRowFn rowDecoder(GroupDecodeKind kind,
+                       const PackedCodecInfo &info, SimdIsa isa);
 
 /**
  * The block hierarchy packedMatmulNt uses for @p isa: the kernel

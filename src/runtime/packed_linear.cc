@@ -30,13 +30,15 @@ PackedLinear::PackedLinear(const Matrix &weight, M2xfpConfig cfg,
     m2x_assert(simdIsaAvailable(isa),
                "PackedLinear: ISA tier '%s' is not available on "
                "this machine", simdIsaName(isa));
-    // Weight packing is offline (construction): elem_em keeps the
-    // legacy quantizer path byte-for-byte; other codecs go through
-    // the functional codec packers.
+    // Weight packing is offline (construction) but runs the same
+    // runtime encoders as the forward pass: byte-identical to
+    // packWeights(weight, weightQ_) for elem_em and to
+    // packWeightsCodec(weight, codec_) for the other codecs.
     weight_ = codec_ == PackedCodec::ElemEm
-                  ? PackedM2xfpTensor::packWeights(weight, weightQ_)
-                  : PackedM2xfpTensor::packWeightsCodec(weight,
-                                                        codec_);
+                  ? PackedM2xfpTensor::packWeights(weight, weightQ_,
+                                                   pool_, isa_)
+                  : PackedM2xfpTensor::packWeightsCodec(
+                        weight, codec_, pool_, isa_);
 }
 
 void

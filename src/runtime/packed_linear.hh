@@ -62,14 +62,18 @@ class PackedLinear : public LinearOp
 
     /**
      * Quantize and pack @p weight [out_features, in_features] at
-     * construction (offline, like the paper's weight calibration).
+     * construction (offline, like the paper's weight calibration),
+     * through the runtime's per-ISA encoders — byte-identical to the
+     * functional weight packers.
      *
      * @param cfg  must keep the paper packed layout (g32/sg8, 2-bit
      *        metadata, top-1); only consulted by the elem_em codec —
      *        other codecs carry their own fixed geometry
-     * @param pool thread pool for forward(); null = global pool
-     * @param isa  kernel tier for forward(); defaults to the
-     *        process-wide dispatch decision (must be available)
+     * @param pool thread pool for the weight packing and forward();
+     *        null = global pool
+     * @param isa  kernel tier for the weight packing and forward();
+     *        defaults to the process-wide dispatch decision (must be
+     *        available)
      * @param codec packed stream format for the resident weight and
      *        the online activation encode (the format axis of the
      *        codec-traits seam); elem_em keeps the legacy byte-exact

@@ -32,10 +32,22 @@
  * and the GEMM tier. Rows are independent, so the row loop is
  * distributed over a ThreadPool.
  *
+ * The same table carries a second encoder family: the paper's Sg-EM
+ * weight codec (g32/sg8, 2-bit subgroup multipliers, optional
+ * adaptive bias), which backs construction-time weight packing for
+ * every E8M0 codec and the sg_em activation / KV-append path. The
+ * functional SgEmQuantizer::encodeGroup tries 3 biases x 4
+ * multipliers per subgroup through the value-table binary search;
+ * the kernels instead evaluate all 12 candidate scales of a group in
+ * one vector pass — one candidate per lane, each lane keeping its
+ * own in-order double error sum — so the chosen scale, metadata and
+ * codes are bit-identical to the functional encoder
+ * (tests/runtime/sg_em_encode_test.cc).
+ *
  * The public entry points are the PackedM2xfpTensor::packActivations
- * (pool, isa) overloads declared in core/m2xfp_packed.hh and defined
- * here in the runtime library; this header exposes the kernel table
- * and the per-group encoders for tests and benches.
+ * / packWeights (pool, isa) overloads declared in core/m2xfp_packed.hh
+ * and defined here in the runtime library; this header exposes the
+ * kernel table and the per-group encoders for tests and benches.
  */
 
 #ifndef M2X_RUNTIME_PACKED_QUANTIZE_HH__
@@ -45,6 +57,8 @@
 #include <cstdint>
 
 #include "core/m2xfp_packed.hh"
+#include "formats/e8m0.hh"
+#include "formats/minifloat.hh"
 #include "quant/scale_rules.hh"
 #include "runtime/simd.hh"
 #include "runtime/thread_pool.hh"
@@ -63,10 +77,23 @@ using QuantizeRowFn = void (*)(const float *src, size_t cols,
                                ScaleRule rule, uint8_t *elems,
                                uint8_t *scales, uint8_t *meta);
 
-/** The per-ISA encoder set used by the fast-path packActivations. */
+/**
+ * Encode one full (32-element, caller-padded) group with the paper
+ * Sg-EM codec (g32/sg8, multipliers 1 + m/4) under @p rule, trying
+ * the biases b in {-1, 0, +1} when @p adaptive (b = 0 only
+ * otherwise): 16 element bytes, the E8M0 scale code (bias absorbed)
+ * and the metadata byte (subgroup 0 in the low bits). Byte-identical
+ * to SgEmQuantizer::encodeGroup with the same configuration.
+ */
+using SgEmEncodeGroupFn = void (*)(const float *in, ScaleRule rule,
+                                   bool adaptive, uint8_t *elems,
+                                   uint8_t *scale, uint8_t *meta);
+
+/** The per-ISA encoder set used by the fast-path packers. */
 struct QuantizeKernels
 {
     QuantizeRowFn quantizeActivationRow;
+    SgEmEncodeGroupFn encodeSgEmGroup;
 };
 
 /**
@@ -110,6 +137,107 @@ void encodeActivationGroupAvx512(const float *in, ScaleRule rule,
                                  uint8_t *elems, uint8_t *scale,
                                  uint8_t *meta);
 #endif // M2X_HAVE_AVX512
+
+/** @{ Per-tier Sg-EM group encoders (see SgEmEncodeGroupFn). */
+void encodeSgEmGroupScalar(const float *in, ScaleRule rule,
+                           bool adaptive, uint8_t *elems,
+                           uint8_t *scale, uint8_t *meta);
+#ifdef M2X_HAVE_AVX2
+void encodeSgEmGroupAvx2(const float *in, ScaleRule rule,
+                         bool adaptive, uint8_t *elems, uint8_t *scale,
+                         uint8_t *meta);
+#endif
+#ifdef M2X_HAVE_AVX512
+void encodeSgEmGroupAvx512(const float *in, ScaleRule rule,
+                           bool adaptive, uint8_t *elems,
+                           uint8_t *scale, uint8_t *meta);
+#endif
+/** @} */
+
+/** Candidate scales per Sg-EM group: 3 biases x 4 multipliers. Lane
+ *  c = 4 * (b + 1) + m of every candidate vector holds (b, m). */
+constexpr unsigned sgEmCandidates = 12;
+
+/**
+ * The paper Sg-EM subgroup scales for every E8M0 scale code:
+ * scale[code][m] = SgEmQuantizer::subgroupScale(fromCode(code), m)
+ * and inv[code][m] = 1.0f / scale[code][m] — the exact floats the
+ * functional encoder multiplies by, looked up instead of recomputed
+ * (12 exp2 calls per group) by every kernel tier.
+ */
+struct SgEmScaleTable
+{
+    float scale[255][4];
+    float inv[255][4];
+
+    /** The process-wide table (built on first use, thread-safe). */
+    static const SgEmScaleTable &get();
+};
+
+/**
+ * The scale codes of the three bias candidates b = -1, 0, +1 of a
+ * group with block max @p amax: the rule's shared scale shifted by b
+ * (saturating at the E8M0 range, so at the clamp two candidates share
+ * a code). Without @p adaptive all three are the unshifted code.
+ */
+inline void
+sgEmCandidateCodes(float amax, ScaleRule rule, bool adaptive,
+                   unsigned codes[3])
+{
+    ScaleE8m0 s0 =
+        computeSharedScale(amax, Minifloat::fp4e2m1(), rule);
+    for (int b = -1; b <= 1; ++b)
+        codes[b + 1] = (adaptive ? s0.shifted(b) : s0).code();
+}
+
+/**
+ * Pick the winning candidate from the per-subgroup candidate errors
+ * @p err (err[s][4 * bi + m], bi = b + 1) with the functional
+ * encoder's exact rules: per bias, each subgroup keeps the first
+ * minimum over m (a later m wins only when strictly smaller, so a NaN
+ * error never replaces the current best and a NaN best is never
+ * replaced); the bias total sums the subgroup minima in subgroup
+ * order from 0.0; the first minimal bias wins under the same strict
+ * rule. Only bi = 1 (b = 0) competes without @p adaptive. Writes the
+ * winner's multipliers to @p mult and returns its bi.
+ */
+inline unsigned
+sgEmSelect(const double err[][sgEmCandidates], bool adaptive,
+           uint8_t mult[4])
+{
+    unsigned b_first = adaptive ? 0 : 1;
+    unsigned b_last = adaptive ? 2 : 1;
+    unsigned best_b = b_first;
+    double best_total = 0.0;
+    uint8_t m_of[3][4];
+    for (unsigned b = b_first; b <= b_last; ++b) {
+        double total = 0.0;
+        for (unsigned s = 0; s < 4; ++s) {
+            const double *e = err[s] + 4 * b;
+            unsigned best_m = 0;
+            for (unsigned m = 1; m < 4; ++m)
+                if (e[m] < e[best_m])
+                    best_m = m;
+            m_of[b][s] = static_cast<uint8_t>(best_m);
+            total += e[best_m];
+        }
+        if (b == b_first || total < best_total) {
+            best_total = total;
+            best_b = b;
+        }
+    }
+    for (unsigned s = 0; s < 4; ++s)
+        mult[s] = m_of[best_b][s];
+    return best_b;
+}
+
+/** Metadata byte of four 2-bit multipliers (subgroup 0 low). */
+inline uint8_t
+sgEmMetaByte(const uint8_t mult[4])
+{
+    return static_cast<uint8_t>(mult[0] | (mult[1] << 2) |
+                                (mult[2] << 4) | (mult[3] << 6));
+}
 
 /**
  * parallelFor grain (rows per chunk) for @p rows distributed over

@@ -1,6 +1,7 @@
 /**
  * @file
- * AVX2 tier of the fast-path activation encoder.
+ * AVX2 tier of the fast-path activation encoder and of the Sg-EM
+ * group encoder.
  *
  * Unlike the GEMM tiers, this kernel is held to the *byte-exact*
  * contract: encoding is elementwise (no reassociated accumulation),
@@ -23,6 +24,11 @@
  *
  * The per-group shared scale (any ScaleRule) and the 4-per-group FP6
  * re-rounds stay scalar — they are O(groups), not O(elements).
+ *
+ * The Sg-EM group encoder holds the 12 candidate scales of a group
+ * in 8 + 4 float lanes and walks the 32 elements once, summing each
+ * candidate's squared error in its own double lane (three 4-lane
+ * vectors); only the winner's codes go through the ladder and pack.
  *
  * This translation unit is compiled with -mavx2 -mfma and must only
  * be entered through the runtime dispatch (simdIsaAvailable guards).
@@ -82,22 +88,48 @@ fp4Codes8(__m256 x)
     return _mm256_blendv_epi8(code, _mm256_set1_epi32(7), nan);
 }
 
-} // anonymous namespace
+/**
+ * Nibble pack of a group's 4x8 dword codes -> 32 ordered byte codes
+ * -> 16 packed bytes (even element in the low nibble).
+ */
+inline void
+packNibbles(const __m256i codes[nSubgroups], uint8_t *elems)
+{
+    __m256i p01 = _mm256_packus_epi32(codes[0], codes[1]);
+    __m256i p23 = _mm256_packus_epi32(codes[2], codes[3]);
+    __m256i p = _mm256_packus_epi16(p01, p23);
+    // Dwords now hold [c0:0-3, c1:0-3, c2:0-3, c3:0-3, c0:4-7, ...];
+    // restore element order.
+    p = _mm256_permutevar8x32_epi32(
+        p, _mm256_set_epi32(7, 3, 6, 2, 5, 1, 4, 0));
+    __m256i even =
+        _mm256_and_si256(p, _mm256_set1_epi16(0x00ff));
+    __m256i odd = _mm256_srli_epi16(p, 8);
+    __m256i byte16 =
+        _mm256_or_si256(even, _mm256_slli_epi16(odd, 4));
+    const __m256i take_even = _mm256_setr_epi8(
+        0, 2, 4, 6, 8, 10, 12, 14, -1, -1, -1, -1, -1, -1, -1, -1,
+        0, 2, 4, 6, 8, 10, 12, 14, -1, -1, -1, -1, -1, -1, -1, -1);
+    __m256i packed = _mm256_shuffle_epi8(byte16, take_even);
+    _mm_storel_epi64(reinterpret_cast<__m128i *>(elems),
+                     _mm256_castsi256_si128(packed));
+    _mm_storel_epi64(reinterpret_cast<__m128i *>(elems + 8),
+                     _mm256_extracti128_si256(packed, 1));
+}
 
-void
-encodeActivationGroupAvx2(const float *in, ScaleRule rule,
-                          uint8_t *elems, uint8_t *scale,
-                          uint8_t *meta)
+/**
+ * Load a group as four 8-lane vectors (vector i == subgroup i) and
+ * return its block absmax. NaN lanes never enter the accumulator
+ * (max_ps returns the second operand when the first is NaN), so the
+ * fold matches absMax()'s std::max semantics.
+ */
+inline float
+loadGroupAbsMax(const float *in, __m256 v[nSubgroups])
 {
     const __m256 absmask =
         _mm256_castsi256_ps(_mm256_set1_epi32(0x7fffffff));
-
-    // Step 1: block absmax. NaN lanes never enter the accumulator
-    // (max_ps returns the second operand when the first is NaN), so
-    // the fold matches absMax()'s std::max semantics.
-    __m256 v[4];
     __m256 acc = _mm256_setzero_ps();
-    for (size_t i = 0; i < 4; ++i) {
+    for (size_t i = 0; i < nSubgroups; ++i) {
         v[i] = _mm256_loadu_ps(in + 8 * i);
         acc = _mm256_max_ps(_mm256_and_ps(v[i], absmask), acc);
     }
@@ -105,7 +137,37 @@ encodeActivationGroupAvx2(const float *in, ScaleRule rule,
                            _mm256_extractf128_ps(acc, 1));
     m4 = _mm_max_ps(m4, _mm_movehl_ps(m4, m4));
     m4 = _mm_max_ss(m4, _mm_movehdup_ps(m4));
-    float amax = _mm_cvtss_f32(m4);
+    return _mm_cvtss_f32(m4);
+}
+
+/**
+ * FP4 E2M1 value that fp4CodeRne() rounds each of 8 non-negative
+ * lanes to — the AVX-512 tier's fp4Value16 on 8 lanes: add and
+ * subtract c = max(2^e, 1) * 2^22, whose ulp is FP4's grid spacing
+ * in y's binade 2^e, then saturate at 6 (which also maps the Inf/NaN
+ * lanes to 6 — callers only use those in a NaN error sum).
+ */
+inline __m256
+fp4Value8(__m256 y)
+{
+    __m256 binade = _mm256_and_ps(
+        y, _mm256_castsi256_ps(_mm256_set1_epi32(0x7f800000)));
+    __m256 c = _mm256_mul_ps(_mm256_max_ps(binade, _mm256_set1_ps(1.0f)),
+                             _mm256_set1_ps(0x1p22f));
+    return _mm256_min_ps(_mm256_sub_ps(_mm256_add_ps(y, c), c),
+                         _mm256_set1_ps(6.0f));
+}
+
+} // anonymous namespace
+
+void
+encodeActivationGroupAvx2(const float *in, ScaleRule rule,
+                          uint8_t *elems, uint8_t *scale,
+                          uint8_t *meta)
+{
+    // Step 1: block absmax.
+    __m256 v[nSubgroups];
+    float amax = loadGroupAbsMax(in, v);
 
     ScaleE8m0 s =
         computeSharedScale(amax, Minifloat::fp4e2m1(), rule);
@@ -147,28 +209,77 @@ encodeActivationGroupAvx2(const float *in, ScaleRule rule,
     }
     *meta = mb;
 
-    // Nibble pack: 4x8 dword codes -> 32 ordered byte codes -> 16
-    // packed bytes (even element in the low nibble).
-    __m256i p01 = _mm256_packus_epi32(codes[0], codes[1]);
-    __m256i p23 = _mm256_packus_epi32(codes[2], codes[3]);
-    __m256i p = _mm256_packus_epi16(p01, p23);
-    // Dwords now hold [c0:0-3, c1:0-3, c2:0-3, c3:0-3, c0:4-7, ...];
-    // restore element order.
-    p = _mm256_permutevar8x32_epi32(
-        p, _mm256_set_epi32(7, 3, 6, 2, 5, 1, 4, 0));
-    __m256i even =
-        _mm256_and_si256(p, _mm256_set1_epi16(0x00ff));
-    __m256i odd = _mm256_srli_epi16(p, 8);
-    __m256i byte16 =
-        _mm256_or_si256(even, _mm256_slli_epi16(odd, 4));
-    const __m256i take_even = _mm256_setr_epi8(
-        0, 2, 4, 6, 8, 10, 12, 14, -1, -1, -1, -1, -1, -1, -1, -1,
-        0, 2, 4, 6, 8, 10, 12, 14, -1, -1, -1, -1, -1, -1, -1, -1);
-    __m256i packed = _mm256_shuffle_epi8(byte16, take_even);
-    _mm_storel_epi64(reinterpret_cast<__m128i *>(elems),
-                     _mm256_castsi256_si128(packed));
-    _mm_storel_epi64(reinterpret_cast<__m128i *>(elems + 8),
-                     _mm256_extracti128_si256(packed, 1));
+    packNibbles(codes, elems);
+}
+
+void
+encodeSgEmGroupAvx2(const float *in, ScaleRule rule, bool adaptive,
+                    uint8_t *elems, uint8_t *scale, uint8_t *meta)
+{
+    const SgEmScaleTable &tab = SgEmScaleTable::get();
+    __m256 v[nSubgroups];
+    unsigned codes[3];
+    sgEmCandidateCodes(loadGroupAbsMax(in, v), rule, adaptive, codes);
+
+    // Candidate c = 4 * (b + 1) + m in lane c: the b = -1, 0 inverse
+    // scales in one 8-lane vector, b = +1 in the low half of a
+    // second; the scales widened to double as three 4-lane vectors.
+    __m128 inv_p1 = _mm_loadu_ps(tab.inv[codes[2]]);
+    __m256 inv_lo = _mm256_set_m128(_mm_loadu_ps(tab.inv[codes[1]]),
+                                    _mm_loadu_ps(tab.inv[codes[0]]));
+    __m256 inv_hi = _mm256_set_m128(inv_p1, inv_p1);
+    __m256d sc[3];
+    for (unsigned b = 0; b < 3; ++b)
+        sc[b] = _mm256_cvtps_pd(_mm_loadu_ps(tab.scale[codes[b]]));
+
+    // One pass over the elements, each broadcast against all 12
+    // candidates: every lane sums its squared errors in element
+    // order in double, with an explicit multiply then add, exactly
+    // like SgEmQuantizer's per-subgroup pass. The error is
+    // sign-symmetric, so the pass runs on magnitudes.
+    alignas(32) float mag[groupSize];
+    alignas(32) double mag_d[groupSize];
+    const __m256 absmask =
+        _mm256_castsi256_ps(_mm256_set1_epi32(0x7fffffff));
+    for (size_t i = 0; i < nSubgroups; ++i)
+        _mm256_store_ps(mag + 8 * i, _mm256_and_ps(v[i], absmask));
+    for (size_t i = 0; i < groupSize; i += 4)
+        _mm256_store_pd(mag_d + i, _mm256_cvtps_pd(_mm_load_ps(mag + i)));
+    double err[nSubgroups][sgEmCandidates];
+    for (size_t sg = 0; sg < nSubgroups; ++sg) {
+        __m256d e[3] = {_mm256_setzero_pd(), _mm256_setzero_pd(),
+                        _mm256_setzero_pd()};
+        for (size_t i = 0; i < subgroupSize; ++i) {
+            size_t el = sg * subgroupSize + i;
+            __m256 av = _mm256_set1_ps(mag[el]);
+            __m256 q_lo = fp4Value8(_mm256_mul_ps(av, inv_lo));
+            __m256 q_hi = fp4Value8(_mm256_mul_ps(av, inv_hi));
+            __m128 q[3] = {_mm256_castps256_ps128(q_lo),
+                           _mm256_extractf128_ps(q_lo, 1),
+                           _mm256_castps256_ps128(q_hi)};
+            __m256d ad = _mm256_set1_pd(mag_d[el]);
+            for (unsigned b = 0; b < 3; ++b) {
+                __m256d d = _mm256_sub_pd(
+                    _mm256_mul_pd(_mm256_cvtps_pd(q[b]), sc[b]), ad);
+                e[b] = _mm256_add_pd(e[b], _mm256_mul_pd(d, d));
+            }
+        }
+        for (unsigned b = 0; b < 3; ++b)
+            _mm256_storeu_pd(err[sg] + 4 * b, e[b]);
+    }
+    uint8_t mult[nSubgroups];
+    unsigned b = sgEmSelect(err, adaptive, mult);
+    *scale = static_cast<uint8_t>(codes[b]);
+    *meta = sgEmMetaByte(mult);
+
+    // The winner's codes: the same FP4 ladder and pack as the
+    // Elem-EM encoder, one subgroup inverse per vector.
+    const float *row = tab.inv[codes[b]];
+    __m256i out[nSubgroups];
+    for (size_t sg = 0; sg < nSubgroups; ++sg)
+        out[sg] = fp4Codes8(
+            _mm256_mul_ps(v[sg], _mm256_set1_ps(row[mult[sg]])));
+    packNibbles(out, elems);
 }
 
 void

@@ -94,6 +94,55 @@ quantizeActivationRowScalar(const float *src, size_t cols,
     }
 }
 
+void
+encodeSgEmGroupScalar(const float *in, ScaleRule rule, bool adaptive,
+                      uint8_t *elems, uint8_t *scale, uint8_t *meta)
+{
+    // FP4 E2M1 magnitudes by 3-bit code.
+    static constexpr float fp4Mag[8] = {0.0f, 0.5f, 1.0f, 1.5f,
+                                        2.0f, 3.0f, 4.0f, 6.0f};
+    const SgEmScaleTable &tab = SgEmScaleTable::get();
+
+    float amax = 0.0f;
+    for (size_t i = 0; i < groupSize; ++i)
+        amax = std::max(amax, std::fabs(in[i]));
+    unsigned codes[3];
+    sgEmCandidateCodes(amax, rule, adaptive, codes);
+
+    // Every candidate's subgroup error, summed in element order in
+    // double exactly like SgEmQuantizer's per-subgroup pass. The
+    // error is sign-symmetric (the FP4 value carries the element's
+    // sign, and IEEE subtraction commutes with negation), so the
+    // magnitudes suffice.
+    double err[nSubgroups][sgEmCandidates];
+    for (size_t sg = 0; sg < nSubgroups; ++sg) {
+        for (unsigned c = 0; c < sgEmCandidates; ++c) {
+            float inv = tab.inv[codes[c / 4]][c % 4];
+            double sc = tab.scale[codes[c / 4]][c % 4];
+            double e = 0.0;
+            for (size_t i = 0; i < subgroupSize; ++i) {
+                float a = std::fabs(in[sg * subgroupSize + i]);
+                double v = fp4Mag[fp4CodeRne(a * inv) & 0x7u] * sc;
+                double d = v - a;
+                e += d * d;
+            }
+            err[sg][c] = e;
+        }
+    }
+    uint8_t mult[nSubgroups];
+    unsigned b = sgEmSelect(err, adaptive, mult);
+    *scale = static_cast<uint8_t>(codes[b]);
+    *meta = sgEmMetaByte(mult);
+
+    // The winner's codes, re-encoded from the signed elements.
+    for (size_t j = 0; j < groupSize / 2; ++j) {
+        float inv = tab.inv[codes[b]][mult[2 * j / subgroupSize]];
+        elems[j] = static_cast<uint8_t>(
+            fp4CodeRne(in[2 * j] * inv) |
+            (fp4CodeRne(in[2 * j + 1] * inv) << 4));
+    }
+}
+
 } // namespace detail
 } // namespace runtime
 } // namespace m2x

@@ -6,13 +6,16 @@
  * and the generic (traits-driven) group/row decoders must be
  * bit-identical to the functional unpackers over the full 256-value
  * element-byte space — the scalar-oracle property the GEMM and
- * attend drivers rely on when they dispatch non-Elem-EM tensors to
- * these kernels.
+ * attend drivers rely on when they dispatch a stream to these
+ * kernels — and the per-ISA kernels the dispatch rule picks instead
+ * must decode every stream exactly like them.
  */
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -24,6 +27,8 @@
 #include "formats/minifloat.hh"
 #include "runtime/codec_traits.hh"
 #include "runtime/decode_lut.hh"
+#include "runtime/packed_gemm_kernels.hh"
+#include "runtime/simd.hh"
 #include "runtime_test_util.hh"
 
 namespace m2x {
@@ -315,6 +320,80 @@ TEST(CodecTraits, ElemEmGenericKernelsMatchTheLegacyLut)
         codecDecodeWeightRow(tw, r, generic.data());
         for (size_t i = 0; i < padded; ++i)
             ASSERT_EQ(generic[i], legacy[i]) << "wt " << r << "," << i;
+    }
+}
+
+TEST(CodecTraits, DecodeFamilyRuleKeysOnKindAndGeometry)
+{
+    auto family = [](PackedCodec c, bool weight) {
+        const CodecTraits &tr = CodecTraits::get(c);
+        return decodeFamily(
+            weight ? GroupDecodeKind::SubgroupMult : tr.actKind,
+            *tr.info);
+    };
+    EXPECT_EQ(family(PackedCodec::ElemEm, false), DecodeFamily::ElemEm);
+    EXPECT_EQ(family(PackedCodec::ElemEe, false), DecodeFamily::Generic);
+    EXPECT_EQ(family(PackedCodec::SgEm, false), DecodeFamily::SgEm);
+    EXPECT_EQ(family(PackedCodec::M2Nvfp4, false),
+              DecodeFamily::Generic);
+    for (PackedCodec c : {PackedCodec::ElemEm, PackedCodec::ElemEe,
+                          PackedCodec::SgEm})
+        EXPECT_EQ(family(c, true), DecodeFamily::SgEm) << codecTrace(c);
+    EXPECT_EQ(family(PackedCodec::M2Nvfp4, true), DecodeFamily::Generic);
+}
+
+TEST(CodecTraits, DispatchedRowDecodersMatchTheGenericKernels)
+{
+    // Whatever kernel the dispatch rule picks — a per-ISA Elem-EM or
+    // Sg-EM kernel, or the generic one — it must decode every stream
+    // bit for bit like the generic traits kernel of that role: every
+    // element byte at every position, crossed with valid scale codes
+    // and metadata bytes.
+    for (PackedCodec c : allPackedCodecs()) {
+        SCOPED_TRACE(codecTrace(c));
+        const CodecTraits &tr = CodecTraits::get(c);
+        const PackedCodecInfo &info = *tr.info;
+        std::vector<uint8_t> scales_of = validScaleCodes(c);
+        const uint8_t metas[] = {0x00, 0x1b, 0xe4, 0xff};
+        size_t rows = 256 * scales_of.size() * std::size(metas);
+        std::vector<uint8_t> elems(rows * info.bytesPerGroupElems);
+        std::vector<uint8_t> scales(rows), meta(rows);
+        size_t r = 0;
+        for (unsigned b = 0; b < 256; ++b)
+            for (uint8_t sc : scales_of)
+                for (uint8_t mb : metas) {
+                    for (unsigned j = 0; j < info.bytesPerGroupElems; ++j)
+                        elems[r * info.bytesPerGroupElems + j] =
+                            static_cast<uint8_t>(b + 17 * j);
+                    scales[r] = sc;
+                    meta[r] = mb;
+                    ++r;
+                }
+        PackedM2xfpTensor t = PackedM2xfpTensor::fromRawStreams(
+            rows, info.groupSize, std::move(elems), std::move(scales),
+            std::move(meta), c);
+        std::vector<float> got(info.groupSize), want(info.groupSize);
+        for (SimdIsa isa : supportedSimdIsas()) {
+            SCOPED_TRACE(std::string("isa=") + simdIsaName(isa));
+            for (bool weight : {false, true}) {
+                GroupDecodeKind kind =
+                    weight ? GroupDecodeKind::SubgroupMult : tr.actKind;
+                detail::DecodeRowFn dispatched =
+                    detail::rowDecoder(kind, info, isa);
+                detail::DecodeRowFn generic =
+                    weight ? &codecDecodeWeightRow
+                           : &codecDecodeActivationRow;
+                for (size_t row = 0; row < rows; ++row) {
+                    dispatched(t, row, got.data());
+                    generic(t, row, want.data());
+                    for (size_t i = 0; i < info.groupSize; ++i)
+                        ASSERT_EQ(std::bit_cast<uint32_t>(got[i]),
+                                  std::bit_cast<uint32_t>(want[i]))
+                            << (weight ? "wt" : "act") << " row "
+                            << row << " i " << i;
+                }
+            }
+        }
     }
 }
 

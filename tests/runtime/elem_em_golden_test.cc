@@ -22,7 +22,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cfloat>
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "core/m2xfp.hh"
@@ -31,6 +34,7 @@
 #include "runtime/kv_page_arena.hh"
 #include "runtime/packed_gemm_kernels.hh"
 #include "runtime/simd.hh"
+#include "runtime/thread_pool.hh"
 #include "util/rng.hh"
 
 namespace m2x {
@@ -42,6 +46,11 @@ constexpr uint64_t goldenEncoderHash = 0xf76e2138fdd2434full;
 constexpr uint64_t goldenGemmPanelHash = 0x1d744453a5b4ed36ull;
 constexpr uint64_t goldenKvPagesHash = 0x23246e7da98456dfull;
 /** @} */
+
+/** Raw weight streams of the functional Sg-EM packer on
+ *  goldenWeights(), captured before the runtime weight packer
+ *  existed. */
+constexpr uint64_t goldenWeightStreamsHash = 0x2e52ccdbd4a38b4full;
 
 constexpr uint64_t fnvBasis = 0xcbf29ce484222325ull;
 constexpr uint64_t fnvPrime = 0x100000001b3ull;
@@ -95,6 +104,34 @@ goldenActivations()
     return goldenMatrix(13, 100, 0xE1);
 }
 
+/**
+ * The weight-stream input: a larger goldenMatrix (300 columns, so
+ * every row ends in a 12-element tail group) plus what a weight
+ * encoder has to survive — non-finite elements, FLT_MAX, denormals,
+ * FP4 ties under each subgroup multiplier, a row that clamps the
+ * shared exponent at the bottom of the E8M0 range and a row near the
+ * top. Same rule as goldenMatrix: never touch the recipe.
+ */
+Matrix
+goldenWeights()
+{
+    Matrix m = goldenMatrix(48, 300, 0xE3);
+    const float inf = std::numeric_limits<float>::infinity();
+    const float specials[] = {
+        inf,      -inf,     std::numeric_limits<float>::quiet_NaN(),
+        FLT_MAX,  -FLT_MAX, std::numeric_limits<float>::denorm_min(),
+        -1e-41f,  3.125f,   -5.25f,
+        8.75f,    0.9375f,  -4.375f};
+    size_t n = m.size();
+    for (size_t i = 0; i < sizeof(specials) / sizeof(float); ++i)
+        m.flat()[(i * 131 + 7) % n] = specials[i];
+    for (size_t c = 0; c < m.cols(); ++c) {
+        m(5, c) = std::ldexp(m(5, c), -135);
+        m(6, c) = std::ldexp(m(6, c), 120);
+    }
+    return m;
+}
+
 TEST(ElemEmGolden, EncoderStreamsOnEveryTier)
 {
     ElemEmQuantizer q = makeM2xfpActivationQuantizer();
@@ -131,6 +168,31 @@ TEST(ElemEmGolden, GemmPanelDecodeOnEveryTier)
             h = fnv1a(buf.data(), buf.size() * sizeof(float), h);
         }
         EXPECT_EQ(h, goldenGemmPanelHash);
+    }
+}
+
+TEST(ElemEmGolden, WeightStreamsOnEveryTier)
+{
+    // The functional packer is the oracle the constant was captured
+    // from; the constructor's runtime packer (every tier, and every
+    // E8M0 codec's weight role) must reproduce it byte for byte.
+    SgEmQuantizer wq = makeM2xfpWeightQuantizer();
+    Matrix wm = goldenWeights();
+    EXPECT_EQ(hashStreams(PackedM2xfpTensor::packWeights(wm, wq)),
+              goldenWeightStreamsHash);
+    ThreadPool pool(2);
+    for (SimdIsa isa : supportedSimdIsas()) {
+        SCOPED_TRACE(std::string("isa=") + simdIsaName(isa));
+        EXPECT_EQ(hashStreams(PackedM2xfpTensor::packWeights(
+                      wm, wq, &pool, isa)),
+                  goldenWeightStreamsHash);
+        for (PackedCodec c : {PackedCodec::ElemEm, PackedCodec::ElemEe,
+                              PackedCodec::SgEm}) {
+            SCOPED_TRACE(packedCodecName(c));
+            EXPECT_EQ(hashStreams(PackedM2xfpTensor::packWeightsCodec(
+                          wm, c, &pool, isa)),
+                      goldenWeightStreamsHash);
+        }
     }
 }
 
