@@ -5,11 +5,10 @@
  * GEMM (per ISA kernel tier, the cache-blocked panel driver) and
  * PackedLinear forward vs the reference quantized path — with the
  * quantize/GEMM wall-time split — at several shapes and thread
- * counts (1/2/4/8 capped at the hardware width), plus the legacy
- * tile-at-a-time driver as a trajectory anchor (blocked_vs_pr3_1t),
- * a per-block-size MC/KC/NC sweep, a whole-model InferenceSession
- * run and an autoregressive decode run (tokens/s and resident KV
- * bytes per token, packed M2XFP cache vs the fp32-cache oracle
+ * counts (1/2/4/8 capped at the hardware width), plus a
+ * per-block-size MC/KC/NC sweep, a whole-model InferenceSession run
+ * and an autoregressive decode run (tokens/s and resident KV bytes
+ * per token, packed M2XFP cache vs the fp32-cache oracle
  * baseline). Writes the machine-readable BENCH_runtime.json — the
  * repo's perf trajectory point for the execution runtime, including
  * which SIMD tier ran — which tools/check_bench_regression.py
@@ -122,8 +121,8 @@ calibrateReps(F &&fn, double min_s, double *first_s = nullptr)
  * Returns the fastest of three >= min_s windows: scheduler and
  * frequency noise on a shared machine only ever slows a window down,
  * so the minimum is the estimator closest to the true cost — and the
- * one that keeps same-run ratios (flash_vs_old, packed-vs-fp32)
- * stable enough to gate on.
+ * one that keeps same-run ratios (speedup_vs_ref_gemm,
+ * packed_vs_fp32) stable enough to gate on.
  */
 template <typename F>
 double
@@ -303,19 +302,11 @@ main(int argc, char **argv)
         Matrix w_deq = pw.unpackWeights(wq);
 
         // Verify before timing: the scalar tier is the bit-exact
-        // oracle, every vector tier is held to 1e-6 relative — the
-        // legacy PR3 tiled driver included, since it anchors the
-        // blocked_vs_pr3 ratio below.
+        // oracle, every vector tier is held to 1e-6 relative.
         Matrix ref_out = matmulNt(a_deq, w_deq);
-        for (SimdIsa isa : isas) {
+        for (SimdIsa isa : isas)
             requireMatch(packedMatmulNt(pa, pw, nullptr, isa),
                          ref_out, isa, 1e-6, "packed GEMM");
-            Matrix tiled;
-            detail::packedMatmulNtTiled(pa, pw, tiled, nullptr,
-                                        isa);
-            requireMatch(tiled, ref_out, isa, 1e-6,
-                         "PR3 tiled GEMM");
-        }
 
         // Reference: dense GEMM on already-dequantized operands.
         double ref_s =
@@ -326,20 +317,6 @@ main(int argc, char **argv)
             [&] {
                 matmulNt(pa.unpackActivations(aq),
                          pw.unpackWeights(wq));
-            },
-            min_s);
-        // The PR3 tile-at-a-time driver on its best tier (AVX2 —
-        // that is exactly what PR3 shipped), 1 thread: the committed
-        // trajectory point the blocked rework is measured against.
-        SimdIsa pr3_isa = simdIsaAvailable(SimdIsa::Avx2)
-                              ? SimdIsa::Avx2
-                              : SimdIsa::Scalar;
-        ThreadPool pool1(1);
-        Matrix tiled_out;
-        double pr3_s = timeIt(
-            [&] {
-                detail::packedMatmulNtTiled(pa, pw, tiled_out,
-                                            &pool1, pr3_isa);
             },
             min_s);
 
@@ -395,26 +372,6 @@ main(int argc, char **argv)
             }
         }
         std::fprintf(out, "\n    ]");
-        std::fprintf(out,
-                     ",\n     \"pr3_isa\": \"%s\", "
-                     "\"pr3_tiled_1t_s\": %.6e",
-                     simdIsaName(pr3_isa), pr3_s);
-        // Blocked-vs-PR3 at 1 thread compares the blocked driver on
-        // its best tier against the tile-at-a-time driver on its
-        // best tier — the honest "did the rework pay off" number.
-        double best_1t = 0.0;
-        for (size_t t = 3; t-- > 0;)
-            if (single_thread_s[t] > 0.0) {
-                best_1t = single_thread_s[t];
-                break;
-            }
-        if (best_1t > 0.0) {
-            double r = pr3_s / best_1t;
-            std::printf("  blocked vs PR3 tiled @1 thread: %.2fx\n",
-                        r);
-            std::fprintf(out,
-                         ",\n     \"blocked_vs_pr3_1t\": %.3f", r);
-        }
         if (single_thread_s[1] > 0.0) {
             double ratio =
                 single_thread_s[0] / single_thread_s[1];
@@ -922,25 +879,28 @@ main(int argc, char **argv)
                      ratio);
     }
 
-    // Long-context attend trajectory: the flash-style blocked
-    // online-softmax attend vs the pre-flash attendLegacy baseline
-    // at growing context lengths, measured at the KvCache level (one
-    // layer, single-query decode shape, 1 thread — the per-sequence
-    // serving fan-out unit). Rows are keyed (context, mode, isa,
-    // threads) for the regression gate; the quick contexts are a
-    // subset of the full ladder so smoke rows match the committed
-    // baseline. flash_vs_old is the trajectory ratio (both sides
-    // measured on this run), attend scratch must stay constant as
-    // context grows 256x — both asserted before the JSON is usable.
+    // Long-context attend: the packed flash attend against the fp32
+    // three-pass oracle at growing context lengths, measured at the
+    // KvCache level (one layer, single-query decode shape, 1 thread
+    // — the per-sequence serving fan-out unit). The fp32 cache holds
+    // the packed codec's round-tripped rows, so both sides attend
+    // the same operand values: the oracle checks the packed output
+    // before timing, and packed_vs_fp32 (fp32 seconds over packed
+    // seconds, both sides timed on this run) is the gated ratio.
+    // Rows are keyed (context, mode, isa, threads) and the ratio
+    // rows (context, window_s, isa, threads); the quick contexts are
+    // a subset of the full ladder so smoke rows match the committed
+    // baseline. Attend scratch must stay constant as context grows
+    // 256x — asserted before the JSON is usable.
     {
         const size_t lc_d = 192;     // the llama2_7b width
         const unsigned lc_heads = 4; // headDim 48
         // Single-query attends are microseconds at the quick
-        // contexts; the quick-mode 0.02 s window is too short for a
-        // stable flash/legacy ratio on a noisy runner, and the rows
-        // feed the regression gate. Floor the window instead of
-        // skipping the section.
-        double lc_min_s = std::max(min_s, 0.1);
+        // contexts and the ratio rows feed the regression gate, so
+        // quick and full runs share one window length: a quick row
+        // is then keyed, and as stable, as the full-run row it is
+        // compared against.
+        const double lc_min_s = 0.2;
         std::vector<size_t> contexts =
             quick ? std::vector<size_t>{256, 1024}
                   : std::vector<size_t>{256, 1024, 4096, 16384,
@@ -951,101 +911,94 @@ main(int argc, char **argv)
                      "\n    \"d_model\": %zu, \"heads\": %u,\n"
                      "    \"rows\": [",
                      lc_d, lc_heads);
-        KvCacheMode lc_modes[2] = {KvCacheMode::Packed,
-                                   KvCacheMode::Fp32};
-        // flash seconds per (mode, context) for the packed-vs-fp32
-        // summary below.
-        std::vector<double> flash_s_of[2];
+        // [packed, fp32]: the packed cache encodes kv_rows on
+        // append, the fp32 oracle holds their decoded values.
+        KvCache caches[2] = {KvCache(1, lc_d, KvCacheMode::Packed),
+                             KvCache(1, lc_d, KvCacheMode::Fp32)};
+        const size_t chunk_rows = 256;
+        Matrix kv_rows = randomMatrix(chunk_rows, lc_d, 82, 4.0);
+        Matrix kv_deq = PackedM2xfpTensor::packActivationsCodec(
+                            kv_rows, PackedCodec::ElemEm)
+                            .unpackActivationsCodec();
+        const Matrix *appended[2] = {&kv_rows, &kv_deq};
+        size_t scratch_first[2] = {0, 0};
+        std::vector<double> ratios;
         bool first_row = true;
-        for (int mi = 0; mi < 2; ++mi) {
-            KvCacheMode mode = lc_modes[mi];
-            KvCache cache(1, lc_d, mode);
-            const size_t chunk_rows = 256;
-            Matrix kv_rows = randomMatrix(chunk_rows, lc_d, 82, 4.0);
-            size_t scratch_first = 0;
-            for (size_t ctx_len : contexts) {
-                while (cache.length() < ctx_len)
-                    cache.append(0, kv_rows.data(), kv_rows.data(),
-                                 chunk_rows, &pool1);
+        for (size_t ctx_len : contexts) {
+            Matrix outs[2] = {Matrix(1, lc_d), Matrix(1, lc_d)};
+            auto attend = [&](int mi) {
+                caches[mi].attend(0, lq.data(), 1, ctx_len - 1,
+                                  lc_heads, outs[mi].data(), &pool1);
+            };
+            for (int mi = 0; mi < 2; ++mi) {
+                while (caches[mi].length() < ctx_len)
+                    caches[mi].append(0, appended[mi]->data(),
+                                      appended[mi]->data(),
+                                      chunk_rows, &pool1);
+                attend(mi);
+            }
+            // Packed flash vs the fp32 oracle on the same operand
+            // values: within the model tolerance (polynomial exp and
+            // accumulation association differ).
+            requireClose(outs[0], outs[1], 1e-5,
+                         "packed flash vs fp32 oracle attend");
 
-                // Parity before timing: the legacy attend is the
-                // oracle here (fp32 bitwise, packed within the model
-                // tolerance — exp/accumulation association differ).
-                Matrix flash_out(1, lc_d), old_out(1, lc_d);
-                cache.attend(0, lq.data(), 1, ctx_len - 1, lc_heads,
-                             flash_out.data(), &pool1);
-                cache.attendLegacy(0, lq.data(), 1, ctx_len - 1,
-                                   lc_heads, old_out.data(), &pool1);
-                if (mode == KvCacheMode::Fp32)
-                    requireBitExact(flash_out, old_out,
-                                    "fp32 flash vs legacy attend");
-                else
-                    requireClose(flash_out, old_out, 1e-5,
-                                 "packed flash vs legacy attend");
-
-                // Paired windows: the flash and legacy sides of each
-                // window run back to back, so runner noise that
-                // varies on a seconds scale (a neighbor stealing the
-                // core for one window) hits both sides of the ratio
-                // instead of skewing one. The reported pair is the
-                // window with the fastest combined time — the
-                // cleanest regime — keeping flash_attend_s,
-                // old_attend_s, and flash_vs_old mutually consistent.
-                auto flash_fn = [&] {
-                    cache.attend(0, lq.data(), 1, ctx_len - 1,
-                                 lc_heads, flash_out.data(), &pool1);
-                };
-                auto old_fn = [&] {
-                    cache.attendLegacy(0, lq.data(), 1, ctx_len - 1,
-                                       lc_heads, old_out.data(),
-                                       &pool1);
-                };
+            // Interleaved windows: the packed and fp32 sides run
+            // back to back, so both sample the same runner regimes
+            // (a neighbor stealing the core for a while slows both
+            // instead of skewing one), and each side reports its
+            // fastest window — the timeIt estimator, per side.
+            double secs[2] = {0.0, 0.0};
+            int reps[2];
+            size_t scratch[2];
+            for (int mi = 0; mi < 2; ++mi) {
                 resetAttendScratchPeak();
-                int f_reps = calibrateReps(flash_fn, lc_min_s);
-                int o_reps = calibrateReps(old_fn, lc_min_s);
-                size_t scratch = attendScratchPeakBytes();
-                if (scratch_first == 0)
-                    scratch_first = scratch;
-                m2x_assert(scratch <= scratch_first,
-                           "flash attend scratch grew with context "
+                reps[mi] = calibrateReps([&] { attend(mi); }, lc_min_s);
+                scratch[mi] = attendScratchPeakBytes();
+                if (scratch_first[mi] == 0)
+                    scratch_first[mi] = scratch[mi];
+                m2x_assert(scratch[mi] <= scratch_first[mi],
+                           "%s flash attend scratch grew with context "
                            "(%zu bytes at %zu vs %zu at %zu rows)",
-                           scratch, ctx_len, scratch_first,
+                           kvCacheModeName(caches[mi].mode()),
+                           scratch[mi], ctx_len, scratch_first[mi],
                            contexts.front());
-                double flash_s = 0.0, old_s = 0.0;
-                for (int w = 0; w < 3; ++w) {
-                    double fs = windowSeconds(flash_fn, f_reps);
-                    double os = windowSeconds(old_fn, o_reps);
-                    if (w == 0 || fs + os < flash_s + old_s) {
-                        flash_s = fs;
-                        old_s = os;
-                    }
+            }
+            for (int w = 0; w < 5; ++w) {
+                for (int mi = 0; mi < 2; ++mi) {
+                    double ws =
+                        windowSeconds([&] { attend(mi); }, reps[mi]);
+                    if (w == 0 || ws < secs[mi])
+                        secs[mi] = ws;
                 }
-                flash_s_of[mi].push_back(flash_s);
+            }
+            ratios.push_back(secs[1] / secs[0]);
 
-                double bpt = cache.bytesPerToken();
-                std::printf(
-                    "long-context %-6s ctx %6zu: flash %8.1f "
-                    "attends/s, %.2fx old, scratch %zu B, "
-                    "%.0f KV B/token\n",
-                    kvCacheModeName(mode), ctx_len, 1.0 / flash_s,
-                    old_s / flash_s, scratch, bpt);
+            for (int mi = 0; mi < 2; ++mi) {
+                const char *mode = kvCacheModeName(caches[mi].mode());
+                double bpt = caches[mi].bytesPerToken();
+                std::printf("long-context %-6s ctx %6zu: %8.1f "
+                            "attends/s, scratch %zu B, "
+                            "%.0f KV B/token\n",
+                            mode, ctx_len, 1.0 / secs[mi],
+                            scratch[mi], bpt);
                 std::fprintf(
                     out,
                     "%s\n      {\"context\": %zu, \"mode\": \"%s\", "
                     "\"isa\": \"%s\", \"threads\": 1, "
                     "\"window_s\": %.3f,\n"
                     "       \"flash_attend_s\": %.6e, "
-                    "\"old_attend_s\": %.6e, "
-                    "\"attends_per_s\": %.3f,\n"
-                    "       \"flash_vs_old\": %.3f, "
+                    "\"attends_per_s\": %.3f, "
                     "\"scratch_bytes\": %zu, "
                     "\"kv_bytes_per_token\": %.3f}",
-                    first_row ? "" : ",", ctx_len,
-                    kvCacheModeName(mode), activeSimdIsaName(),
-                    lc_min_s, flash_s, old_s, 1.0 / flash_s,
-                    old_s / flash_s, scratch, bpt);
+                    first_row ? "" : ",", ctx_len, mode,
+                    activeSimdIsaName(), lc_min_s, secs[mi],
+                    1.0 / secs[mi], scratch[mi], bpt);
                 first_row = false;
             }
+            std::printf("long-context packed vs fp32 ctx %6zu: "
+                        "%.2fx\n",
+                        ctx_len, ratios.back());
         }
         // Same-run packed-vs-fp32 attend ratio per context (resident
         // decode bandwidth is what separates them at long context).
@@ -1053,9 +1006,10 @@ main(int argc, char **argv)
         for (size_t ci = 0; ci < contexts.size(); ++ci)
             std::fprintf(out,
                          "%s\n      {\"context\": %zu, "
-                         "\"ratio\": %.3f}",
-                         ci ? "," : "", contexts[ci],
-                         flash_s_of[1][ci] / flash_s_of[0][ci]);
+                         "\"window_s\": %.3f, \"isa\": \"%s\", "
+                         "\"threads\": 1, \"ratio\": %.3f}",
+                         ci ? "," : "", contexts[ci], lc_min_s,
+                         activeSimdIsaName(), ratios[ci]);
         std::fprintf(out, "\n    ]\n  },\n  \"cross_format\": [");
     }
 

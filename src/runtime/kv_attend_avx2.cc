@@ -90,50 +90,6 @@ expPs(__m256 x)
 } // anonymous namespace
 
 void
-dotHeadsAvx2(const float *q, const float *row, size_t hd,
-             unsigned n_heads, unsigned group, double *out)
-{
-    for (unsigned h = 0; h < n_heads; ++h) {
-        const float *a = q + h * hd;
-        const float *b = row + (h / group) * hd;
-        __m256d s0 = _mm256_setzero_pd();
-        __m256d s1 = _mm256_setzero_pd();
-        size_t c = 0;
-        for (; c + 8 <= hd; c += 8) {
-            s0 = _mm256_fmadd_pd(loadPs4(a + c), loadPs4(b + c), s0);
-            s1 = _mm256_fmadd_pd(loadPs4(a + c + 4),
-                                 loadPs4(b + c + 4), s1);
-        }
-        if (c + 4 <= hd) {
-            s0 = _mm256_fmadd_pd(loadPs4(a + c), loadPs4(b + c), s0);
-            c += 4;
-        }
-        double dot = hsumPd(_mm256_add_pd(s0, s1));
-        for (; c < hd; ++c)
-            dot += static_cast<double>(a[c]) * b[c];
-        out[h] = dot;
-    }
-}
-
-void
-accumHeadsAvx2(const double *p, const float *row, size_t hd,
-               unsigned n_heads, unsigned group, double *acc)
-{
-    for (unsigned h = 0; h < n_heads; ++h) {
-        __m256d pv = _mm256_set1_pd(p[h]);
-        const float *vr = row + (h / group) * hd;
-        double *ar = acc + h * hd;
-        size_t c = 0;
-        for (; c + 4 <= hd; c += 4)
-            _mm256_storeu_pd(
-                ar + c, _mm256_fmadd_pd(pv, loadPs4(vr + c),
-                                        _mm256_loadu_pd(ar + c)));
-        for (; c < hd; ++c)
-            ar[c] += p[h] * vr[c];
-    }
-}
-
-void
 decodeRowsAvx2(const PackedM2xfpTensor &t, size_t row0,
                size_t n_rows, size_t stride, float *out)
 {
@@ -163,8 +119,7 @@ scorePageAvx2(const float *q, const float *rows, size_t stride,
         for (size_t c = 0; c < wide; c += 4)
             _mm256_storeu_pd(qd + c, loadPs4(a + c));
         for (size_t r = 0; r < n_rows; ++r) {
-            // Same two-chain dot as dotHeadsAvx2 — per-score
-            // results bit-identical to the per-row primitive.
+            // Two 4-wide double chains cover the FMA latency.
             const float *b = base + r * stride;
             __m256d s0 = _mm256_setzero_pd();
             __m256d s1 = _mm256_setzero_pd();
@@ -210,8 +165,7 @@ accumPageAvx2(const double *w, size_t w_stride, const float *rows,
         size_t c = 0;
         // Channel-outer, row-inner with the accumulator held in
         // registers across the page: per channel lane the adds stay
-        // in ascending-row order, bit-identical to accumHeadsAvx2
-        // per row; two chains cover the FMA latency.
+        // in ascending-row order; two chains cover the FMA latency.
         for (; c + 8 <= hd; c += 8) {
             __m256d a0 = _mm256_loadu_pd(ar + c);
             __m256d a1 = _mm256_loadu_pd(ar + c + 4);

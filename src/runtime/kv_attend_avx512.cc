@@ -160,50 +160,6 @@ expPs16(__m512 x)
 } // anonymous namespace
 
 void
-dotHeadsAvx512(const float *q, const float *row, size_t hd,
-               unsigned n_heads, unsigned group, double *out)
-{
-    for (unsigned h = 0; h < n_heads; ++h) {
-        const float *a = q + h * hd;
-        const float *b = row + (h / group) * hd;
-        __m512d s0 = _mm512_setzero_pd();
-        __m512d s1 = _mm512_setzero_pd();
-        size_t c = 0;
-        for (; c + 16 <= hd; c += 16) {
-            s0 = _mm512_fmadd_pd(loadPs8(a + c), loadPs8(b + c), s0);
-            s1 = _mm512_fmadd_pd(loadPs8(a + c + 8),
-                                 loadPs8(b + c + 8), s1);
-        }
-        if (c + 8 <= hd) {
-            s0 = _mm512_fmadd_pd(loadPs8(a + c), loadPs8(b + c), s0);
-            c += 8;
-        }
-        double dot = _mm512_reduce_add_pd(_mm512_add_pd(s0, s1));
-        for (; c < hd; ++c)
-            dot += static_cast<double>(a[c]) * b[c];
-        out[h] = dot;
-    }
-}
-
-void
-accumHeadsAvx512(const double *p, const float *row, size_t hd,
-                 unsigned n_heads, unsigned group, double *acc)
-{
-    for (unsigned h = 0; h < n_heads; ++h) {
-        __m512d pv = _mm512_set1_pd(p[h]);
-        const float *vr = row + (h / group) * hd;
-        double *ar = acc + h * hd;
-        size_t c = 0;
-        for (; c + 8 <= hd; c += 8)
-            _mm512_storeu_pd(
-                ar + c, _mm512_fmadd_pd(pv, loadPs8(vr + c),
-                                        _mm512_loadu_pd(ar + c)));
-        for (; c < hd; ++c)
-            ar[c] += p[h] * vr[c];
-    }
-}
-
-void
 decodeRowsAvx512(const PackedM2xfpTensor &t, size_t row0,
                  size_t n_rows, size_t stride, float *out)
 {
@@ -317,9 +273,9 @@ scorePageAvx512(const float *q, const float *rows, size_t stride,
         size_t r = 0;
         // Two rows per iteration: four independent FMA chains hide
         // the FMA latency and overlap the horizontal reductions.
-        // Each row's chain structure is exactly dotHeadsAvx512's,
-        // so per-score results stay bit-identical to the per-row
-        // primitive.
+        // Each row keeps the same two-chain structure as the
+        // single-row tail below, so a score does not depend on
+        // which loop computed it.
         for (; r + 2 <= n_rows; r += 2) {
             const float *b0 = base + r * stride;
             const float *b1 = b0 + stride;
@@ -407,8 +363,7 @@ namespace {
  * registers (NR*8 channels) walk the page's rows once. A single
  * chain per register means the row walk would be FMA-latency-bound;
  * NR independent chains push it to FMA throughput instead. Per
- * channel lane the adds stay in ascending-row order — bit-identical
- * to accumHeadsAvx512 called per ascending row.
+ * channel lane the adds stay in ascending-row order.
  */
 template <int NR>
 inline void

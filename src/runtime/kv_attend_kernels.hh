@@ -30,9 +30,7 @@
  * the AVX-512 tier decodes a whole 32-element group per pair of
  * 16-lane table permutes instead of the 8-wide AVX2 scheme, which
  * is what makes long-context attend decode-bound rather than
- * overhead-bound. The per-row primitives remain — the legacy
- * (pre-flash) attend paths and the kernel parity tests call them
- * directly.
+ * overhead-bound.
  *
  * Grouped-query attention threads through as @p group: query head h
  * reads K/V head h / group, so a K/V row carries n_heads / group
@@ -85,26 +83,6 @@ struct PagedKvView
 };
 
 /**
- * Per-head score dots of one query row against one decoded cache
- * row: out[h] = sum_c q[h*hd + c] * row[(h/group)*hd + c] (double
- * accumulation, result still in double — the caller applies the
- * float cast and 1/sqrt(hd) scaling in the oracle's order).
- */
-using DotHeadsFn = void (*)(const float *q, const float *row,
-                            size_t hd, unsigned n_heads,
-                            unsigned group, double *out);
-
-/**
- * Per-head value accumulation of one decoded cache row:
- * acc[h*hd + c] += p[h] * row[(h/group)*hd + c] for every head and
- * channel, each channel's chain staying in ascending-row order
- * across calls.
- */
-using AccumHeadsFn = void (*)(const double *p, const float *row,
-                              size_t hd, unsigned n_heads,
-                              unsigned group, double *acc);
-
-/**
  * Exponential weights of one head's page-local scores against the
  * (already updated) running max: p[r] = exp(s[r] - m) for r in
  * [0, n). Every s[r] <= m by construction, so the result is in
@@ -129,8 +107,9 @@ using DecodeRowsFn = void (*)(const PackedM2xfpTensor &t, size_t row0,
  * Score one query row against a decoded page slab: for every head,
  * scores[h * s_stride + r] = (q_h · rows_r,h) * inv_sqrt for r in
  * [0, n_rows), and smax[h] = max_r of that head's page scores. Dots
- * accumulate in double with the same chain structure as DotHeadsFn,
- * so per-score results are bit-identical to the per-row primitive.
+ * accumulate in double in a few independent chains per tier, so a
+ * score differs from the single ascending chain only at double-ulp
+ * level.
  */
 using ScorePageFn = void (*)(const float *q, const float *rows,
                              size_t stride, size_t n_rows, size_t hd,
@@ -141,8 +120,7 @@ using ScorePageFn = void (*)(const float *q, const float *rows,
 /**
  * Accumulate one query's weighted page values: acc[h*hd + c] +=
  * sum_r w[h * w_stride + r] * rows[r * stride + (h/group)*hd + c],
- * each channel's additions in ascending-row order — bit-identical
- * to calling AccumHeadsFn per ascending row, but with the
+ * each channel's additions in ascending-row order, with the
  * accumulator held in registers across the page.
  */
 using AccumPageFn = void (*)(const double *w, size_t w_stride,
@@ -154,8 +132,6 @@ using AccumPageFn = void (*)(const double *w, size_t w_stride,
 /** The per-ISA primitive set used by KvCache::attend. */
 struct AttendKernels
 {
-    DotHeadsFn dotHeads;
-    AccumHeadsFn accumHeads;
     ExpWeightsFn expWeights;
     DecodeRowsFn decodeRows; //!< Elem-EM pages
     ScorePageFn scorePage;
@@ -172,10 +148,6 @@ struct AttendKernels
 const AttendKernels &attendKernels(SimdIsa isa);
 
 /** @{ Scalar tier: independent plain-C chains, libm double exp. */
-void dotHeadsScalar(const float *q, const float *row, size_t hd,
-                    unsigned n_heads, unsigned group, double *out);
-void accumHeadsScalar(const double *p, const float *row, size_t hd,
-                      unsigned n_heads, unsigned group, double *acc);
 void expWeightsScalar(const double *s, double m, size_t n,
                       double *p);
 void decodeRowsScalar(const PackedM2xfpTensor &t, size_t row0,
@@ -193,10 +165,6 @@ void accumPageScalar(const double *w, size_t w_stride,
 
 #ifdef M2X_HAVE_AVX2
 /** @{ AVX2+FMA tier: 4-wide double FMA chains, 8-wide float exp. */
-void dotHeadsAvx2(const float *q, const float *row, size_t hd,
-                  unsigned n_heads, unsigned group, double *out);
-void accumHeadsAvx2(const double *p, const float *row, size_t hd,
-                    unsigned n_heads, unsigned group, double *acc);
 void expWeightsAvx2(const double *s, double m, size_t n, double *p);
 void decodeRowsAvx2(const PackedM2xfpTensor &t, size_t row0,
                     size_t n_rows, size_t stride, float *out);
@@ -214,10 +182,6 @@ void accumPageAvx2(const double *w, size_t w_stride,
 #ifdef M2X_HAVE_AVX512
 /** @{ AVX-512 tier: 8-wide double FMA chains, 16-wide float exp,
  * whole-group table-permute page decode. */
-void dotHeadsAvx512(const float *q, const float *row, size_t hd,
-                    unsigned n_heads, unsigned group, double *out);
-void accumHeadsAvx512(const double *p, const float *row, size_t hd,
-                      unsigned n_heads, unsigned group, double *acc);
 void expWeightsAvx512(const double *s, double m, size_t n,
                       double *p);
 void decodeRowsAvx512(const PackedM2xfpTensor &t, size_t row0,

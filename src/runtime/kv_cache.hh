@@ -24,22 +24,21 @@
  *    mode is the correctness oracle and the memory/throughput
  *    baseline.
  *
- *  - KvCacheMode::Packed — rows are encoded on append through the
- *    fast-path Elem-EM encoder into the pages' packed streams at
- *    ~4.5 bits/element. Because every row encodes independently, a
- *    page's streams are byte-identical to the corresponding row
- *    slice of the one-shot packer — the PR 5 exactness contract is
- *    page-boundary agnostic exactly as it was chunk-boundary
- *    agnostic. attend() runs the flash-style blocked online-softmax
- *    kernel: K/V pages stream through a bounded working set (each
- *    page LUT-decoded once per query block and reused across all
- *    heads), per-head running max m / normalizer l / value
+ *  - KvCacheMode::Packed — rows are encoded on append through the arena
+ *    codec's own encoder into the pages' packed streams (~4.5
+ *    bits/element for elem_em). Because every row encodes
+ *    independently, a page's streams are byte-identical to the
+ *    corresponding row slice of the one-shot packer — the append
+ *    exactness contract is page-boundary agnostic exactly as it is
+ *    chunk-boundary agnostic. attend() runs the flash-style blocked
+ *    online-softmax kernel: K/V pages stream through a bounded working
+ *    set (each page LUT-decoded once per query block and reused across
+ *    all heads), per-head running max m / normalizer l / value
  *    accumulator acc advance with the standard rescale-on-new-max
- *    recurrence, and no [S, T] (or even [T]) score buffer ever
- *    exists — scratch is O(pageRows · nHeads), independent of
- *    context length. Logits agree with a forwardLogits() reference
- *    that quantizes K/V via setKvQuantizers to the established
- *    model tolerance (1e-5).
+ *    recurrence, and no [S, T] (or even [T]) score buffer ever exists —
+ *    scratch is O(pageRows · nHeads), independent of context length.
+ *    Logits agree with a forwardLogits() reference that quantizes K/V
+ *    via setKvQuantizers to the established model tolerance (1e-5).
  *
  * Causality comes from row order: the cache row appended for
  * position p is row p (page tables are walked in ascending order),
@@ -126,8 +125,10 @@ class KvCache
      * Append @p n contiguous row-major rows of K and V (each
      * dModel() floats) to @p layer, claiming arena pages as the
      * tail crosses page boundaries. Packed mode encodes them through
-     * the fast-path Elem-EM encoder on the arena's ISA tier —
-     * multi-row appends (prefill chunks) distribute the encodes
+     * the arena codec's encoder on the arena's ISA tier (the SIMD
+     * Elem-EM encoder for elem_em, the SIMD Sg-EM encoder for
+     * sg_em, the functional row encoders for elem_ee and m2_nvfp4)
+     * — multi-row appends (prefill chunks) distribute the encodes
      * over @p pool (null = the global pool), single rows stay
      * inline. Exhaustion of a bounded arena is a hard error here:
      * schedulers must check pagesNeededFor() against the arena's
@@ -165,18 +166,6 @@ class KvCache
                 size_t pos0, unsigned n_heads, float *ctx,
                 ThreadPool *pool = nullptr, unsigned n_kv_heads = 0,
                 size_t window = 0) const;
-
-    /**
-     * The pre-flash attend (PR 5–8): materializes the full
-     * O(context) score vector per query row and runs the two-pass
-     * reference softmax. Classic MHA over the full causal prefix
-     * only — kept as the measured baseline for the long-context
-     * bench trajectory (old-attend vs flash-attend ratio), not used
-     * by any decode path.
-     */
-    void attendLegacy(size_t layer, const float *q, size_t n_rows,
-                      size_t pos0, unsigned n_heads, float *ctx,
-                      ThreadPool *pool = nullptr) const;
 
     /**
      * Return to the arena every page that lies wholly below cache
@@ -245,14 +234,6 @@ class KvCache
                       size_t pos0, unsigned n_heads,
                       unsigned n_kv_heads, size_t window, float *ctx,
                       ThreadPool &pool) const;
-    void attendFp32Legacy(const Layer &l, const float *q,
-                          size_t n_rows, size_t pos0,
-                          unsigned n_heads, float *ctx,
-                          ThreadPool &pool) const;
-    void attendPackedLegacy(const Layer &l, const float *q,
-                            size_t n_rows, size_t pos0,
-                            unsigned n_heads, float *ctx,
-                            ThreadPool &pool) const;
 
     std::unique_ptr<KvPageArena> owned_; //!< standalone shape only
     KvPageArena *arena_;
@@ -265,9 +246,8 @@ class KvCache
  * The flash attend's defining property is that this is bounded by
  * O(pageRows · nHeads + queryBlock · dModel) independent of context
  * length — tests assert it and DecodeSession exports it as the
- * decode.attend_scratch_bytes gauge. attendLegacy is deliberately
- * excluded: its O(context) scores vector is the regression this
- * measures against.
+ * decode.attend_scratch_bytes gauge: an O(context) score vector
+ * per query row is the regression it guards against.
  */
 size_t attendScratchPeakBytes();
 void resetAttendScratchPeak();

@@ -53,9 +53,10 @@ KvPageArena::KvPageArena(size_t d_model, KvCacheMode mode,
 KvPageArena::Page &
 KvPageArena::page(KvPageId id)
 {
-    Page *chunk = chunks_[id / chunkPages].get();
-    m2x_assert(chunk != nullptr && id < nextId_,
+    size_t allocated = nextId_.load(std::memory_order_acquire);
+    m2x_assert(id < allocated,
                "KvPageArena: page %u was never allocated", id);
+    Page *chunk = chunks_[id / chunkPages].get();
     return chunk[id % chunkPages];
 }
 
@@ -77,9 +78,10 @@ KvPageArena::allocPage()
     }
     size_t max_pages =
         capacityPages_ ? capacityPages_ : elasticMaxPages;
-    if (nextId_ >= max_pages)
+    size_t next = nextId_.load(std::memory_order_relaxed);
+    if (next >= max_pages)
         return kvInvalidPage;
-    KvPageId id = static_cast<KvPageId>(nextId_);
+    KvPageId id = static_cast<KvPageId>(next);
     auto &chunk = chunks_[id / chunkPages];
     if (!chunk)
         chunk = std::make_unique<Page[]>(chunkPages);
@@ -94,7 +96,7 @@ KvPageArena::allocPage()
             PackedM2xfpTensor::emptyActivationsCodec(dModel_, codec_);
         p.packed.reserveActivationRows(pageRows_);
     }
-    ++nextId_;
+    nextId_.store(next + 1, std::memory_order_release);
     ++live_;
     return id;
 }
@@ -132,14 +134,16 @@ size_t
 KvPageArena::highWaterPages() const
 {
     std::lock_guard<std::mutex> lock(mu_);
-    return nextId_;
+    return nextId_.load(std::memory_order_relaxed);
 }
 
 double
 KvPageArena::occupancy() const
 {
     std::lock_guard<std::mutex> lock(mu_);
-    size_t denom = capacityPages_ ? capacityPages_ : nextId_;
+    size_t denom = capacityPages_
+                       ? capacityPages_
+                       : nextId_.load(std::memory_order_relaxed);
     return denom == 0 ? 0.0
                       : static_cast<double>(live_) /
                             static_cast<double>(denom);

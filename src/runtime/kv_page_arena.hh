@@ -43,6 +43,7 @@
 #ifndef M2X_RUNTIME_KV_PAGE_ARENA_HH__
 #define M2X_RUNTIME_KV_PAGE_ARENA_HH__
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -218,7 +219,13 @@ class KvPageArena
     mutable std::mutex mu_;
     std::vector<std::unique_ptr<Page[]>> chunks_; //!< fixed-size dir
     std::vector<KvPageId> freeList_;
-    size_t nextId_ = 0; //!< == highWaterPages()
+    /**
+     * == highWaterPages(). Written only under mu_, but page() reads
+     * it lock-free to check an id: allocPage() publishes each new
+     * page with a release store after constructing it, page() pairs
+     * it with an acquire load.
+     */
+    std::atomic<size_t> nextId_{0};
     size_t live_ = 0;
 };
 

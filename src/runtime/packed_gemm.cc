@@ -18,14 +18,11 @@ namespace runtime {
 namespace {
 
 constexpr size_t groupSize = PackedM2xfpTensor::groupSize;
-constexpr size_t tileM = detail::gemmTileM;
-constexpr size_t tileN = detail::gemmTileN;
 
 /**
- * Distinguishes per-thread decode caches (W panels, legacy A tiles)
- * across GEMM calls: a thread-local buffer keyed only on the panel
- * index could alias a previous call's tensor (same address,
- * different data).
+ * Distinguishes per-thread W panel caches across GEMM calls: a
+ * thread-local buffer keyed only on the panel index could alias a
+ * previous call's tensor (same address, different data).
  */
 std::atomic<uint64_t> call_counter{0};
 
@@ -78,27 +75,21 @@ gemmKernels(SimdIsa isa)
     static const GemmKernels scalar{&decodeActivationRow,
                                     &decodeWeightRow,
                                     &microKernelScalar,
-                                    &computeTileScalar,
                                     {16, 16, 64, 256, 64},
                                     /*accumulatePadding=*/false};
 #ifdef M2X_HAVE_AVX2
     static const GemmKernels avx2{&decodeActivationRowAvx2,
                                   &decodeWeightRowAvx2,
                                   &microKernelAvx2,
-                                  &computeTileAvx2,
                                   {4, 8, 128, 256, 128},
                                   /*accumulatePadding=*/true};
     if (isa == SimdIsa::Avx2)
         return avx2;
 #endif
 #ifdef M2X_HAVE_AVX512
-    // The legacy tile kernel predates this tier; the AVX2 one stands
-    // in (AVX-512 availability implies AVX2) so the PR3 baseline
-    // path stays runnable under every dispatchable ISA.
     static const GemmKernels avx512{&decodeActivationRowAvx2,
                                     &decodeWeightRowAvx512,
                                     &microKernelAvx512,
-                                    &computeTileAvx2,
                                     {8, 16, 128, 256, 128},
                                     /*accumulatePadding=*/true};
     if (isa == SimdIsa::Avx512)
@@ -330,70 +321,6 @@ packedMatmulNtBlocked(const PackedM2xfpTensor &a,
                         c(i0 + ii, j0 + jj) =
                             static_cast<float>(arow[jj]);
                 }
-            }
-        });
-}
-
-void
-packedMatmulNtTiled(const PackedM2xfpTensor &a,
-                    const PackedM2xfpTensor &w, Matrix &c,
-                    ThreadPool *pool, SimdIsa isa)
-{
-    m2x_assert(a.cols() == w.cols(),
-               "packedMatmulNt K mismatch: %zu vs %zu", a.cols(),
-               w.cols());
-    // The PR3 baseline predates the codec seam and its tile kernels
-    // hardcode the paper pair; the blocked driver serves every codec.
-    m2x_assert(a.codec() == PackedCodec::ElemEm &&
-               w.codec() == PackedCodec::ElemEm,
-               "packedMatmulNtTiled supports only the elem_em codec");
-    m2x_assert(simdIsaAvailable(isa),
-               "packedMatmulNt: ISA tier '%s' is not available on "
-               "this machine", simdIsaName(isa));
-    size_t m = a.rows(), n = w.rows(), k = a.cols();
-    c.resize(m, n);
-    if (m == 0 || n == 0)
-        return;
-
-    const detail::GemmKernels &kern = detail::gemmKernels(isa);
-    size_t padded_k = a.groupsPerRow() * groupSize;
-    size_t n_it = ceilDiv(m, tileM);
-    size_t n_jt = ceilDiv(n, tileN);
-    uint64_t call_id =
-        call_counter.fetch_add(1, std::memory_order_relaxed) + 1;
-
-    // Tiles are enumerated j-fastest so consecutive chunks reuse the
-    // same decoded A tile (cached per thread, keyed by call + tile).
-    // The grain heuristic is shared with the blocked driver; here a
-    // stripe is the n_jt tiles along one A tile, so the roles of the
-    // two grid axes swap.
-    ThreadPool &tp = pool ? *pool : ThreadPool::global();
-    size_t n_tiles = n_it * n_jt;
-    size_t grain = detail::packedGemmGrain(n_jt, n_it, tp.size());
-    tp.parallelFor(
-        0, n_tiles, grain,
-        [&](size_t t0, size_t t1) {
-            thread_local std::vector<float> abuf;
-            thread_local uint64_t cached_call = 0;
-            thread_local size_t cached_it = SIZE_MAX;
-            for (size_t t = t0; t < t1; ++t) {
-                size_t it = t / n_jt;
-                size_t jt = t % n_jt;
-                size_t i0 = it * tileM;
-                size_t mt = std::min(tileM, m - i0);
-                if (cached_call != call_id || cached_it != it) {
-                    abuf.resize(tileM * padded_k);
-                    for (size_t ii = 0; ii < mt; ++ii)
-                        kern.decodeActivationRow(a, i0 + ii,
-                                                 abuf.data() +
-                                                     ii * padded_k);
-                    cached_call = call_id;
-                    cached_it = it;
-                }
-                size_t j0 = jt * tileN;
-                size_t nt = std::min(tileN, n - j0);
-                kern.computeTile(w, abuf.data(), padded_k, i0, mt,
-                                 j0, nt, k, c);
             }
         });
 }

@@ -13,13 +13,12 @@
  * The Elem-EM top-1 fix-up touches one element per subgroup and
  * stays scalar.
  *
- * Accumulate: decoded W rows and the A row are widened once to
- * doubles (amortized over the tile), then the K loop runs 4 weight
- * rows x 2 k-vectors = 8 independent 4-wide double FMA chains — deep
- * enough to cover the FMA latency at two issues per cycle. Lane sums
- * are reduced horizontally at the end, so the summation order
- * differs from the scalar oracle; parity is tolerance-checked, never
- * assumed bit-exact.
+ * Accumulate: the MR=4 x NR=8 register-tile microkernel broadcasts
+ * one A double per row against two 4-wide W sliver vectors, 8
+ * independent double FMA chains — deep enough to cover the FMA
+ * latency at two issues per cycle. FMA contraction rounds
+ * differently from the scalar oracle's separate multiply and add;
+ * parity is tolerance-checked, never assumed bit-exact.
  *
  * This translation unit is compiled with -mavx2 -mfma and must only
  * be entered through the runtime dispatch (simdIsaAvailable guards).
@@ -27,9 +26,7 @@
 
 #include <immintrin.h>
 
-#include <algorithm>
 #include <bit>
-#include <vector>
 
 #include "runtime/decode_lut.hh"
 #include "runtime/packed_gemm_kernels.hh"
@@ -103,25 +100,6 @@ splitNibbles(const uint8_t *bytes, __m128i chunk[4])
     chunk[1] = _mm_srli_si128(il0, 8);
     chunk[2] = il1;
     chunk[3] = _mm_srli_si128(il1, 8);
-}
-
-/** Horizontal sum of a 4-double vector. */
-inline double
-hsum(__m256d v)
-{
-    __m128d s = _mm_add_pd(_mm256_castpd256_pd128(v),
-                           _mm256_extractf128_pd(v, 1));
-    s = _mm_add_sd(s, _mm_unpackhi_pd(s, s));
-    return _mm_cvtsd_f64(s);
-}
-
-/** Widen @p n floats (multiple of 4) to doubles. */
-inline void
-widenToDouble(const float *src, double *dst, size_t n)
-{
-    for (size_t p = 0; p < n; p += 4)
-        _mm256_storeu_pd(dst + p,
-                         _mm256_cvtps_pd(_mm_loadu_ps(src + p)));
 }
 
 } // anonymous namespace
@@ -284,92 +262,6 @@ microKernelAvx2(const double *a, size_t a_stride, const double *ws,
         }
         _mm256_storeu_pd(r, cl);
         _mm256_storeu_pd(r + 4, ch);
-    }
-}
-
-void
-computeTileAvx2(const PackedM2xfpTensor &w, const float *abuf,
-                size_t padded_k, size_t i0, size_t mt, size_t j0,
-                size_t nt, size_t k, Matrix &c)
-{
-    // Decoded W rows and the current A row, widened to doubles once
-    // per tile/row. Rows [nt, nt4) and depths [k, padded_k) are
-    // zeroed, so the FMA loop needs no tail handling and tail-group
-    // padding decode can never leak into an output.
-    size_t nt4 = (nt + 3) & ~size_t{3};
-    thread_local std::vector<double> wd_store;
-    thread_local std::vector<double> ad_store;
-    wd_store.resize(gemmTileN * padded_k);
-    ad_store.resize(padded_k);
-    double *wd = wd_store.data();
-    double *ad = ad_store.data();
-
-    alignas(32) float wrow[groupSize];
-    size_t n_groups = padded_k / groupSize;
-    for (size_t jj = 0; jj < nt; ++jj) {
-        double *wr = wd + jj * padded_k;
-        for (size_t g = 0; g < n_groups; ++g) {
-            decodeWeightGroupAvx2(w, j0 + jj, g, wrow);
-            widenToDouble(wrow, wr + g * groupSize, groupSize);
-        }
-        for (size_t p = k; p < padded_k; ++p)
-            wr[p] = 0.0;
-    }
-    for (size_t jj = nt; jj < nt4; ++jj)
-        std::fill_n(wd + jj * padded_k, padded_k, 0.0);
-
-    for (size_t ii = 0; ii < mt; ++ii) {
-        widenToDouble(abuf + ii * padded_k, ad, padded_k);
-        for (size_t p = k; p < padded_k; ++p)
-            ad[p] = 0.0;
-        for (size_t j4 = 0; j4 < nt4; j4 += 4) {
-            const double *w0 = wd + (j4 + 0) * padded_k;
-            const double *w1 = wd + (j4 + 1) * padded_k;
-            const double *w2 = wd + (j4 + 2) * padded_k;
-            const double *w3 = wd + (j4 + 3) * padded_k;
-            __m256d a00 = _mm256_setzero_pd();
-            __m256d a01 = _mm256_setzero_pd();
-            __m256d a02 = _mm256_setzero_pd();
-            __m256d a03 = _mm256_setzero_pd();
-            __m256d a10 = _mm256_setzero_pd();
-            __m256d a11 = _mm256_setzero_pd();
-            __m256d a12 = _mm256_setzero_pd();
-            __m256d a13 = _mm256_setzero_pd();
-            // padded_k is a multiple of the group size (32), so the
-            // 8-deep step never needs a remainder loop.
-            for (size_t p = 0; p < padded_k; p += 8) {
-                __m256d v0 = _mm256_loadu_pd(ad + p);
-                __m256d v1 = _mm256_loadu_pd(ad + p + 4);
-                a00 = _mm256_fmadd_pd(v0, _mm256_loadu_pd(w0 + p),
-                                      a00);
-                a10 = _mm256_fmadd_pd(v1,
-                                      _mm256_loadu_pd(w0 + p + 4),
-                                      a10);
-                a01 = _mm256_fmadd_pd(v0, _mm256_loadu_pd(w1 + p),
-                                      a01);
-                a11 = _mm256_fmadd_pd(v1,
-                                      _mm256_loadu_pd(w1 + p + 4),
-                                      a11);
-                a02 = _mm256_fmadd_pd(v0, _mm256_loadu_pd(w2 + p),
-                                      a02);
-                a12 = _mm256_fmadd_pd(v1,
-                                      _mm256_loadu_pd(w2 + p + 4),
-                                      a12);
-                a03 = _mm256_fmadd_pd(v0, _mm256_loadu_pd(w3 + p),
-                                      a03);
-                a13 = _mm256_fmadd_pd(v1,
-                                      _mm256_loadu_pd(w3 + p + 4),
-                                      a13);
-            }
-            double sums[4] = {hsum(_mm256_add_pd(a00, a10)),
-                              hsum(_mm256_add_pd(a01, a11)),
-                              hsum(_mm256_add_pd(a02, a12)),
-                              hsum(_mm256_add_pd(a03, a13))};
-            size_t jlim = std::min(nt - j4, size_t{4});
-            for (size_t r = 0; r < jlim; ++r)
-                c(i0 + ii, j0 + j4 + r) =
-                    static_cast<float>(sums[r]);
-        }
     }
 }
 

@@ -31,10 +31,6 @@
  * All tiers decode identical values: the vector LUT decodes are
  * bit-identical to runtime/decode_lut.
  *
- * The PR3 tile-at-a-time driver is kept as
- * detail::packedMatmulNtTiled — the committed-trajectory baseline
- * the bench's blocked_vs_pr3 ratios are measured against.
- *
  * Not installed API — tests include it for direct kernel access.
  */
 
@@ -52,10 +48,6 @@
 namespace m2x {
 namespace runtime {
 namespace detail {
-
-/** Legacy (PR3) output tile height and width per task. */
-constexpr size_t gemmTileM = 16;
-constexpr size_t gemmTileN = 16;
 
 /**
  * The cache-block hierarchy of the panel GEMM. mr/nr are the
@@ -94,23 +86,12 @@ using MicroKernelFn = void (*)(const double *a, size_t a_stride,
 using DecodeRowFn = void (*)(const PackedM2xfpTensor &t, size_t row,
                              float *out);
 
-/**
- * Legacy PR3 tile kernel: rows [i0, i0+mt) x cols [j0, j0+nt) of c,
- * with the decoded A tile already in abuf (mt rows of padded_k
- * floats). k is the true (unpadded) depth.
- */
-using TileKernelFn = void (*)(const PackedM2xfpTensor &w,
-                              const float *abuf, size_t padded_k,
-                              size_t i0, size_t mt, size_t j0,
-                              size_t nt, size_t k, Matrix &c);
-
 /** The per-ISA kernel set used by packedMatmulNt. */
 struct GemmKernels
 {
     DecodeRowFn decodeActivationRow;
     DecodeRowFn decodeWeightRow;
     MicroKernelFn microKernel;
-    TileKernelFn computeTile; //!< legacy PR3 tile kernel
     GemmBlocking blocking;    //!< per-ISA default block hierarchy
     /** Vector tiers sweep the zero-padded K tail; the scalar oracle
      *  must exclude it to keep the reference summation chain. */
@@ -174,25 +155,12 @@ GemmBlocking normalizeBlocking(SimdIsa isa, size_t mc, size_t kc,
  */
 size_t packedGemmGrain(size_t n_ic, size_t n_jc, size_t lanes);
 
-/**
- * Legacy PR3 driver: tile-at-a-time K loop, W tile re-decoded for
- * every M tile. Kept (scalar and AVX2 tiers only) as the comparison
- * baseline for the bench's blocked_vs_pr3 ratios and the
- * blocked-vs-tiled parity tests.
- */
-void packedMatmulNtTiled(const PackedM2xfpTensor &a,
-                         const PackedM2xfpTensor &w, Matrix &c,
-                         ThreadPool *pool, SimdIsa isa);
-
 /** @{ Scalar tier: ascending-k double accumulation, the bit-exact
  *  oracle. */
 void microKernelScalar(const double *a, size_t a_stride,
                        const double *ws, size_t nr, size_t p0,
                        size_t p1, size_t mr_cur, double *acc,
                        size_t acc_stride);
-void computeTileScalar(const PackedM2xfpTensor &w, const float *abuf,
-                       size_t padded_k, size_t i0, size_t mt,
-                       size_t j0, size_t nt, size_t k, Matrix &c);
 /** @} */
 
 #ifdef M2X_HAVE_AVX2
@@ -201,9 +169,6 @@ void microKernelAvx2(const double *a, size_t a_stride,
                      const double *ws, size_t nr, size_t p0,
                      size_t p1, size_t mr_cur, double *acc,
                      size_t acc_stride);
-void computeTileAvx2(const PackedM2xfpTensor &w, const float *abuf,
-                     size_t padded_k, size_t i0, size_t mt, size_t j0,
-                     size_t nt, size_t k, Matrix &c);
 
 void decodeActivationRowAvx2(const PackedM2xfpTensor &t, size_t row,
                              float *out);

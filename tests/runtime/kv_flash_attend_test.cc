@@ -4,15 +4,16 @@
  * must reproduce the full-forward oracle at every page-boundary
  * context length on every tier (fp32 bit-exact, packed within the
  * model tolerance), grouped-query and sliding-window variants must
- * match the grouped/windowed oracle, the legacy O(context)-scratch
- * attend must agree with the flash rewrite, per-lane attend scratch
- * must stay constant from 1k to 64k context, and the per-ISA kernel
- * primitives must agree with the scalar tier under GQA grouping.
+ * match the grouped/windowed oracle, per-lane attend scratch must
+ * stay constant from 1k to 64k context, and the per-ISA page
+ * kernels must agree with the scalar tier under GQA grouping.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -266,39 +267,6 @@ TEST(FlashAttend, ReleaseBeforeKeepsWindowedAttendExact)
     }
 }
 
-TEST(FlashAttend, LegacyAttendMatchesFlash)
-{
-    // attendLegacy is the pre-flash O(context)-scratch baseline the
-    // long-context bench measures against; on the same rows the two
-    // must agree — bitwise in fp32 (the 3-pass replicates the
-    // materialized-scores arithmetic), within the model tolerance in
-    // packed (different exp and accumulation association).
-    const size_t d = 64, tokens = 70;
-    const unsigned heads = 2;
-    Matrix k = test::randomMatrix(tokens, d, 101, 4.0);
-    Matrix v = test::randomMatrix(tokens, d, 102, 4.0);
-    Matrix q = test::randomMatrix(tokens, d, 103, 4.0);
-
-    for (SimdIsa isa : supportedSimdIsas()) {
-        for (KvCacheMode mode :
-             {KvCacheMode::Fp32, KvCacheMode::Packed}) {
-            SCOPED_TRACE(std::string(kvCacheModeName(mode)) +
-                         " isa=" + simdIsaName(isa));
-            KvCache cache(1, d, mode, {}, isa);
-            cache.append(0, k.data(), v.data(), tokens);
-            Matrix flash(tokens, d), legacy(tokens, d);
-            cache.attend(0, q.data(), tokens, 0, heads,
-                         flash.data());
-            cache.attendLegacy(0, q.data(), tokens, 0, heads,
-                               legacy.data());
-            if (mode == KvCacheMode::Fp32)
-                test::expectMatricesBitExact(flash, legacy);
-            else
-                test::expectMatricesClose(flash, legacy, 1e-5);
-        }
-    }
-}
-
 TEST(FlashAttend, ScratchStaysConstantFrom1kTo64kContext)
 {
     // The defining flash property (and the ISSUE's regression gate):
@@ -332,28 +300,48 @@ TEST(FlashAttend, ScratchStaysConstantFrom1kTo64kContext)
 
 TEST(FlashAttendKernels, VectorTiersMatchScalarUnderGrouping)
 {
-    // Direct kernel parity: per-head dots, value accumulation and
-    // exponential weights on every compiled tier vs the scalar
-    // oracle, at group 1 and 2 and a non-vector-multiple head dim.
+    // Direct kernel parity: page scores (and each head's page max),
+    // page value accumulation and exponential weights on every
+    // compiled tier vs the scalar tier, at group 1 and 2, a head dim
+    // that is not a vector multiple, a row count that is not a
+    // multiple of any vector width, and a slab stride wider than the
+    // KV row. The stride padding is NaN, so a kernel that reads past
+    // a row's KV width poisons its result.
     using namespace detail;
     const unsigned n_heads = 4;
+    const size_t n_rows = 13;
     for (size_t hd : {size_t(32), size_t(20)}) {
         for (unsigned group : {1u, 2u}) {
             SCOPED_TRACE("hd=" + std::to_string(hd) +
                          " group=" + std::to_string(group));
             size_t kv_d = (n_heads / group) * hd;
+            size_t stride = kv_d + 12;
             Matrix q = test::randomMatrix(1, n_heads * hd, 121, 4.0);
-            Matrix row = test::randomMatrix(1, kv_d, 122, 4.0);
-            std::vector<double> p(n_heads);
-            for (unsigned h = 0; h < n_heads; ++h)
-                p[h] = 0.25 * (h + 1);
+            Matrix kv = test::randomMatrix(n_rows, kv_d, 122, 4.0);
+            std::vector<float> rows(
+                n_rows * stride,
+                std::numeric_limits<float>::quiet_NaN());
+            for (size_t r = 0; r < n_rows; ++r)
+                std::copy_n(kv.data() + r * kv_d, kv_d,
+                            rows.data() + r * stride);
+            double inv_sqrt = 1.0 / std::sqrt(double(hd));
+            // Scores and weights live in head-major slabs wider than
+            // the page, as in the attend's page-row scratch.
+            const size_t s_stride = n_rows + 3;
+            std::vector<double> w(n_heads * s_stride);
+            Rng wrng(124);
+            for (auto &x : w)
+                x = wrng.uniform();
 
-            std::vector<double> dot_want(n_heads);
-            std::vector<double> acc_want(n_heads * hd, 0.0);
-            dotHeadsScalar(q.data(), row.data(), hd, n_heads, group,
-                           dot_want.data());
-            accumHeadsScalar(p.data(), row.data(), hd, n_heads,
-                             group, acc_want.data());
+            std::vector<double> sc_want(n_heads * s_stride, 0.0);
+            std::vector<double> max_want(n_heads);
+            std::vector<double> acc_want(n_heads * hd, 0.5);
+            scorePageScalar(q.data(), rows.data(), stride, n_rows, hd,
+                            n_heads, group, inv_sqrt, sc_want.data(),
+                            s_stride, max_want.data());
+            accumPageScalar(w.data(), s_stride, rows.data(), stride,
+                            n_rows, hd, n_heads, group,
+                            acc_want.data());
             std::vector<double> s(33);
             Rng rng(123);
             for (auto &x : s)
@@ -365,26 +353,40 @@ TEST(FlashAttendKernels, VectorTiersMatchScalarUnderGrouping)
             auto check = [&](const AttendKernels &kern,
                              const char *name) {
                 SCOPED_TRACE(name);
-                std::vector<double> dot_got(n_heads);
-                std::vector<double> acc_got(n_heads * hd, 0.0);
+                std::vector<double> sc_got(n_heads * s_stride, 0.0);
+                std::vector<double> max_got(n_heads);
+                std::vector<double> acc_got(n_heads * hd, 0.5);
                 std::vector<double> exp_got(s.size());
-                kern.dotHeads(q.data(), row.data(), hd, n_heads,
-                              group, dot_got.data());
-                kern.accumHeads(p.data(), row.data(), hd, n_heads,
-                                group, acc_got.data());
+                kern.scorePage(q.data(), rows.data(), stride, n_rows,
+                               hd, n_heads, group, inv_sqrt,
+                               sc_got.data(), s_stride,
+                               max_got.data());
+                kern.accumPage(w.data(), s_stride, rows.data(),
+                               stride, n_rows, hd, n_heads, group,
+                               acc_got.data());
                 kern.expWeights(s.data(), 0.0, s.size(),
                                 exp_got.data());
-                for (unsigned h = 0; h < n_heads; ++h)
-                    EXPECT_NEAR(dot_got[h], dot_want[h],
-                                1e-9 * std::max(
-                                           1.0,
-                                           std::abs(dot_want[h])))
+                auto tol = [](double want) {
+                    return 1e-9 * std::max(1.0, std::abs(want));
+                };
+                for (unsigned h = 0; h < n_heads; ++h) {
+                    for (size_t r = 0; r < n_rows; ++r) {
+                        size_t i = h * s_stride + r;
+                        ASSERT_NEAR(sc_got[i], sc_want[i],
+                                    tol(sc_want[i]))
+                            << "head " << h << " row " << r;
+                    }
+                    // Columns past the page stay untouched.
+                    for (size_t r = n_rows; r < s_stride; ++r)
+                        ASSERT_EQ(sc_got[h * s_stride + r], 0.0)
+                            << "head " << h << " col " << r;
+                    EXPECT_NEAR(max_got[h], max_want[h],
+                                tol(max_want[h]))
                         << "head " << h;
+                }
                 for (size_t i = 0; i < acc_want.size(); ++i)
                     ASSERT_NEAR(acc_got[i], acc_want[i],
-                                1e-9 * std::max(
-                                           1.0,
-                                           std::abs(acc_want[i])))
+                                tol(acc_want[i]))
                         << "elem " << i;
                 // The vector tiers run a float polynomial exp
                 // against the scalar libm double; the error grows

@@ -215,28 +215,6 @@ TEST(PackedGemm, BlockEnvKnobsAreNormalized)
     }
 }
 
-TEST(PackedGemm, LegacyTiledDriverStaysOnContract)
-{
-    // The PR3 baseline driver (kept for the bench's blocked_vs_pr3
-    // ratio) must hold the same per-tier contracts as the blocked
-    // one.
-    Matrix a = randomMatrix(37, 90, 60, 4.0);
-    Matrix w = randomMatrix(29, 90, 61, 6.0);
-    ElemEmQuantizer aq = makeM2xfpActivationQuantizer();
-    SgEmQuantizer wq = makeM2xfpWeightQuantizer();
-    PackedM2xfpTensor pa = PackedM2xfpTensor::packActivations(a, aq);
-    PackedM2xfpTensor pw = PackedM2xfpTensor::packWeights(w, wq);
-    Matrix ref = matmulNt(pa.unpackActivations(aq),
-                          pw.unpackWeights(wq));
-    ThreadPool pool(2);
-    for (SimdIsa isa : supportedSimdIsas()) {
-        SCOPED_TRACE(std::string("isa=") + simdIsaName(isa));
-        Matrix got;
-        detail::packedMatmulNtTiled(pa, pw, got, &pool, isa);
-        expectMatricesMatch(got, ref, isa);
-    }
-}
-
 TEST(PackedGemm, GrainHeuristicInvariants)
 {
     // Exhaustive sweep of the block-grid grain policy: a chunk is at
