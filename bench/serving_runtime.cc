@@ -17,8 +17,8 @@
  *    byte accounting, no scheduler noise), required to be >= 4x.
  *
  * Parity precedes timing: a small-model ServingEngine run must
- * reproduce a single-sequence DecodeSession token-for-token in both
- * KV modes before any throughput is measured.
+ * reproduce a single-sequence KV-cached greedy run token-for-token
+ * in both KV modes before any throughput is measured.
  *
  * The runs execute with the telemetry metrics registry enabled, so
  * serving.step_ns / serving.token_ns / serving.ttft_ns histograms
@@ -43,7 +43,6 @@
 
 #include "bench_common.hh"
 #include "model/config.hh"
-#include "runtime/decode_session.hh"
 #include "runtime/serving.hh"
 #include "runtime/telemetry.hh"
 #include "util/logging.hh"
@@ -183,8 +182,9 @@ runStream(ServingEngine &eng, const std::vector<Arrival> &work)
 }
 
 /**
- * Token-for-token parity of the engine against a single-sequence
- * DecodeSession before anything is timed, in both KV modes.
+ * Token-for-token parity of the engine against each request run
+ * alone through its model and one KV cache, before anything is
+ * timed, in both KV modes.
  */
 void
 verifyParity()
@@ -203,15 +203,19 @@ verifyParity()
             eng.submit(a.prompt, a.maxNew);
         eng.runToCompletion();
         for (size_t i = 0; i < work.size(); ++i) {
-            DecodeSession s(vc, {.kvMode = mode});
-            size_t seq = s.addSequence();
-            Matrix logits = s.prefill(seq, work[i].prompt);
+            KvCache cache(vc.nLayers, vc.kvDim(), mode, {},
+                          eng.simdIsa(), eng.codec());
+            CacheAttendBackend backend(nullptr, nullptr);
+            Matrix logits =
+                backend.forwardChunk(eng.model(), cache, work[i].prompt);
             std::vector<int> want;
             want.push_back(argmaxRow(logits, logits.rows() - 1));
+            KvCache *const row[] = {&cache};
             while (want.size() < work[i].maxNew) {
                 int next = want.back();
-                Matrix l = s.decode({&next, 1});
-                want.push_back(argmaxRow(l, 0));
+                want.push_back(argmaxRow(
+                    backend.forwardRows(eng.model(), row, {&next, 1}),
+                    0));
             }
             m2x_assert(eng.generated(i) == want,
                        "serving/%s request %zu diverged from the "

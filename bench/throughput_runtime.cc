@@ -24,9 +24,10 @@
  * nothing but scheduler noise, so only the 1-thread rows are
  * emitted (hardware_threads in the JSON records the truth).
  *
- * The decode section runs with the telemetry metrics registry
- * enabled: per-step latency lands in the `decode.step_ns` histogram
- * and the JSON gains `step_latency_p50/p95/p99_s` plus thread-pool
+ * The decode and cross_format sections run a fixed batch through the
+ * ServingEngine with the telemetry metrics registry enabled: decode
+ * time is the sum of the `serving.step_ns` histogram, and the decode
+ * JSON gains `step_latency_p50/p95/p99_s` plus thread-pool
  * busy-time/utilization per mode (see docs/OBSERVABILITY.md). The
  * earlier sections run with telemetry in its default (off) state so
  * their rows keep measuring the uninstrumented hot path.
@@ -50,12 +51,12 @@
 #include "gemm/gemm.hh"
 #include "model/config.hh"
 #include "model/transformer.hh"
-#include "runtime/decode_session.hh"
 #include "runtime/inference_session.hh"
 #include "runtime/kv_cache.hh"
 #include "runtime/packed_gemm.hh"
 #include "runtime/packed_gemm_kernels.hh"
 #include "runtime/packed_linear.hh"
+#include "runtime/serving.hh"
 #include "runtime/simd.hh"
 #include "runtime/telemetry.hh"
 #include "util/logging.hh"
@@ -223,6 +224,85 @@ requireStreamsEqual(const PackedM2xfpTensor &got,
                got.scaleStream() == want.scaleStream() &&
                got.metadataStream() == want.metadataStream(),
                "%s streams differ from the functional packer", what);
+}
+
+/** What runFixedBatch measured. */
+struct FixedBatchRun
+{
+    double prefillS = 0.0; //!< the last request's TTFT
+    double decodeS = 0.0;  //!< sum of serving.step_ns
+    double p50S = 0.0, p95S = 0.0, p99S = 0.0; //!< step latency
+    double poolBusyS = 0.0; //!< lane busy time over the steps
+    double attendS = 0.0;   //!< attend time, prefill included
+    size_t kvTokens = 0;    //!< cached tokens at the last step
+    size_t kvBytes = 0;     //!< their row-granular K/V bytes
+};
+
+/**
+ * A fixed batch through the ServingEngine: @p batch random prompts
+ * of @p prompt_tokens, all submitted before the first step() into an
+ * arena sized for every row they will cache, each generating
+ * @p decode_steps + 1 tokens. Step 1 prefills the whole batch (the
+ * first tokens), then every step advances all of it by one token.
+ * Runs with the metrics registry on, zeroed once the last prefill
+ * has produced its token, so the step histogram and the lane busy
+ * counters describe the decode steps alone.
+ */
+FixedBatchRun
+runFixedBatch(const model::ModelConfig &mc, ServingConfig cfg,
+              size_t batch, size_t prompt_tokens, size_t decode_steps,
+              uint64_t seed)
+{
+    // The last generated token is never fed back.
+    size_t rows = prompt_tokens + decode_steps;
+    cfg.arenaPages = batch * 2 * mc.nLayers *
+                     KvPageArena::pagesForRows(rows, cfg.pageRows);
+    cfg.admitFreeFraction = 0.0;
+    ServingEngine eng(mc, cfg);
+    Rng rng(seed);
+    for (size_t b = 0; b < batch; ++b) {
+        std::vector<int> prompt(prompt_tokens);
+        for (auto &t : prompt)
+            t = static_cast<int>(rng.uniformInt(mc.vocab));
+        eng.submit(std::move(prompt), decode_steps + 1);
+    }
+    bool metrics_were_on = telemetry::metricsEnabled();
+    telemetry::setMetricsEnabled(true);
+    auto &reg = telemetry::MetricRegistry::global();
+    size_t last = batch - 1;
+    bool zeroed = false;
+    eng.onToken([&](size_t id, int, bool) {
+        if (id == last && !zeroed) {
+            reg.reset();
+            zeroed = true;
+        }
+    });
+    eng.runToCompletion();
+    m2x_assert(eng.preemptionCount() == 0 &&
+                   eng.stepCount() == decode_steps,
+               "fixed batch preempted %zu times over %zu steps "
+               "(want 0 over %zu)",
+               eng.preemptionCount(), eng.stepCount(), decode_steps);
+    const telemetry::Histogram *sh =
+        reg.findHistogram("serving.step_ns");
+    m2x_assert(sh && sh->count() == decode_steps,
+               "serving.step_ns histogram missing or miscounted");
+
+    FixedBatchRun r;
+    r.prefillS = eng.stats(last).ttftSeconds();
+    r.decodeS = 1e-9 * static_cast<double>(sh->sum());
+    r.p50S = 1e-9 * sh->quantile(0.50);
+    r.p95S = 1e-9 * sh->quantile(0.95);
+    r.p99S = 1e-9 * sh->quantile(0.99);
+    r.poolBusyS = 1e-9 * static_cast<double>(
+                             reg.counterSumByPrefix("pool.lane"));
+    r.attendS = eng.attendSeconds();
+    // Row-granular, as KvCache::totalBytes(): K + V rows per layer.
+    r.kvTokens = batch * rows;
+    r.kvBytes = r.kvTokens * 2 * mc.nLayers *
+                eng.arena().pageBytes() / eng.arena().pageRows();
+    telemetry::setMetricsEnabled(metrics_were_on);
+    return r;
 }
 
 } // anonymous namespace
@@ -696,14 +776,15 @@ main(int argc, char **argv)
     }
     std::fprintf(out, "\n    ]\n  },\n  \"decode\": ");
 
-    // Autoregressive decode: prefill a batch of sequences, then
-    // generate token by token against a persistent KV cache. The
-    // fp32 cache is the bit-exactness oracle (it replicates the
-    // full forward's double-precision attention arithmetic); the
-    // packed cache keeps K/V resident in the M2XFP streams at 4.5
-    // bits/element and fuses LUT decode into the blocked attention
-    // kernels. Parity of both modes against the one-shot forward is
-    // verified on a small model before any timing.
+    // Autoregressive decode: a fixed batch through the serving
+    // engine, prefilled once and then generated token by token
+    // against persistent KV caches. The fp32 cache is the
+    // bit-exactness oracle (it replicates the full forward's
+    // double-precision attention arithmetic); the packed cache keeps
+    // K/V resident in the M2XFP streams at 4.5 bits/element and
+    // fuses LUT decode into the blocked attention kernels. Parity of
+    // both modes against the one-shot forward is verified on a small
+    // model before any timing.
     {
         model::ModelConfig vc = model::llama2_7b();
         vc.nLayers = 1;
@@ -714,43 +795,41 @@ main(int argc, char **argv)
             for (auto &t : vtoks)
                 t = static_cast<int>(rng.uniformInt(vc.vocab));
         }
-        auto run_split = [&](DecodeSession &s,
-                             std::span<const int> toks) {
-            size_t seq = s.addSequence();
-            Matrix first =
-                s.prefill(seq, toks.subspan(0, toks.size() - 2));
-            Matrix all(toks.size(), first.cols());
+        // Prefill all but two tokens, then decode those one by one.
+        auto run_split = [&](const model::TinyTransformer &m,
+                             KvCacheMode mode) {
+            KvCache cache(vc.nLayers, vc.kvDim(), mode);
+            CacheAttendBackend backend(nullptr, nullptr);
+            std::span<const int> toks(vtoks);
+            size_t split = toks.size() - 2;
+            Matrix all(toks.size(), vc.vocab);
             size_t t0 = 0;
             auto put = [&](const Matrix &m) {
                 for (size_t r = 0; r < m.rows(); ++r, ++t0)
                     for (size_t c = 0; c < m.cols(); ++c)
                         all(t0, c) = m(r, c);
             };
-            put(first);
-            for (size_t t = toks.size() - 2; t < toks.size(); ++t) {
-                int tok = toks[t];
-                put(s.decode({&tok, 1}));
-            }
+            put(backend.forwardChunk(m, cache, toks.subspan(0, split)));
+            KvCache *const row[] = {&cache};
+            for (size_t t = split; t < toks.size(); ++t)
+                put(backend.forwardRows(m, row, toks.subspan(t, 1)));
             return all;
         };
         {
-            DecodeSession s(vc, {.kvMode = KvCacheMode::Fp32});
-            requireBitExact(run_split(s, vtoks),
-                            s.model().forwardLogits(vtoks),
+            model::TinyTransformer m(vc);
+            m.rebuild(packedLinearFactory());
+            requireBitExact(run_split(m, KvCacheMode::Fp32),
+                            m.forwardLogits(vtoks),
                             "fp32-cache decode logits");
-        }
-        {
-            DecodeSession s(vc, {.kvMode = KvCacheMode::Packed});
             model::TinyTransformer ref(vc);
-            ref.rebuild(packedLinearFactory({}, nullptr, nullptr,
-                                            s.simdIsa()));
+            ref.rebuild(packedLinearFactory());
             ref.setKvQuantizers(
                 [] {
                     return std::make_shared<ElemEmQuantizer>(
                         makeM2xfpActivationQuantizer());
                 },
                 nullptr);
-            requireClose(run_split(s, vtoks),
+            requireClose(run_split(m, KvCacheMode::Packed),
                          ref.forwardLogits(vtoks), 1e-5,
                          "packed-cache decode logits");
         }
@@ -780,62 +859,21 @@ main(int argc, char **argv)
         double tokens_per_s[2] = {0.0, 0.0}; // [fp32, packed]
         KvCacheMode modes[2] = {KvCacheMode::Fp32,
                                 KvCacheMode::Packed};
-        // The decode loops run with the metrics registry on: the
-        // per-step latency distribution comes straight from the
-        // decode.step_ns histogram and lane utilization from the
-        // pool.lane*.busy_ns counters. Restored to the prior state
-        // afterwards (off unless M2X_METRICS was set).
-        bool metrics_were_on = telemetry::metricsEnabled();
-        telemetry::setMetricsEnabled(true);
         for (int mi = 0; mi < 2; ++mi) {
             KvCacheMode mode = modes[mi];
-            DecodeSession s(dc, {.threads = dec_threads,
-                                 .kvMode = mode});
-            Rng rng(321);
-            Stopwatch pre_sw;
-            for (size_t b = 0; b < batch; ++b) {
-                std::vector<int> prompt(prefill_tokens);
-                for (auto &t : prompt)
-                    t = static_cast<int>(rng.uniformInt(dc.vocab));
-                s.prefill(s.addSequence(), prompt);
-            }
-            double prefill_s = pre_sw.seconds();
-
-            // Zero the metric values (prefill included) so the
-            // histogram and busy counters describe the decode loop
-            // alone.
-            telemetry::MetricRegistry::global().reset();
-            std::vector<int> next(batch);
-            Stopwatch dec_sw;
-            for (size_t t = 0; t < decode_steps; ++t) {
-                for (auto &n : next)
-                    n = static_cast<int>(rng.uniformInt(dc.vocab));
-                s.decode(next);
-            }
-            double decode_s = dec_sw.seconds();
+            FixedBatchRun r = runFixedBatch(
+                dc, {.threads = dec_threads, .kvMode = mode}, batch,
+                prefill_tokens, decode_steps, 321);
             double tps = static_cast<double>(batch * decode_steps) /
-                         decode_s;
+                         r.decodeS;
             tokens_per_s[mi] = tps;
-            double bpt = s.kvBytesPerToken();
+            double bpt = static_cast<double>(r.kvBytes) /
+                         static_cast<double>(r.kvTokens);
             double bits_per_elem =
                 bpt * 8.0 / (2.0 * dc.nLayers * dc.dModel);
-
-            const telemetry::Histogram *sh =
-                telemetry::MetricRegistry::global().findHistogram(
-                    "decode.step_ns");
-            m2x_assert(sh && sh->count() == decode_steps,
-                       "decode.step_ns histogram missing or "
-                       "miscounted");
-            double p50 = 1e-9 * sh->quantile(0.50);
-            double p95 = 1e-9 * sh->quantile(0.95);
-            double p99 = 1e-9 * sh->quantile(0.99);
-            double pool_busy_s =
-                1e-9 * static_cast<double>(
-                           telemetry::MetricRegistry::global()
-                               .counterSumByPrefix("pool.lane"));
             double pool_util =
-                decode_s > 0.0
-                    ? pool_busy_s / (decode_s * dec_threads)
+                r.decodeS > 0.0
+                    ? r.poolBusyS / (r.decodeS * dec_threads)
                     : 0.0;
 
             std::printf("decode/%-6s batch %zu, %zu+%zu tokens "
@@ -846,8 +884,8 @@ main(int argc, char **argv)
                         "%.0f%%\n",
                         kvCacheModeName(mode), batch,
                         prefill_tokens, decode_steps, dec_threads,
-                        tps, bpt, bits_per_elem, p50 * 1e3,
-                        p95 * 1e3, p99 * 1e3, 100.0 * pool_util);
+                        tps, bpt, bits_per_elem, r.p50S * 1e3,
+                        r.p95S * 1e3, r.p99S * 1e3, 100.0 * pool_util);
             std::fprintf(out,
                          "%s\n      {\"kv_cache\": \"%s\", "
                          "\"prefill_s\": %.6e, "
@@ -863,12 +901,10 @@ main(int argc, char **argv)
                          "\"kv_bytes_per_token\": %.3f, "
                          "\"kv_bits_per_element\": %.4f}",
                          mi ? "," : "", kvCacheModeName(mode),
-                         prefill_s, decode_s, tps,
-                         s.attendSeconds(), p50, p95, p99,
-                         pool_busy_s, pool_util, s.kvBytes(), bpt,
-                         bits_per_elem);
+                         r.prefillS, r.decodeS, tps, r.attendS,
+                         r.p50S, r.p95S, r.p99S, r.poolBusyS,
+                         pool_util, r.kvBytes, bpt, bits_per_elem);
         }
-        telemetry::setMetricsEnabled(metrics_were_on);
         double ratio = tokens_per_s[1] / tokens_per_s[0];
         std::printf("decode packed vs fp32 cache: %.2fx tokens/s\n",
                     ratio);
@@ -1014,17 +1050,17 @@ main(int argc, char **argv)
     }
 
     // Cross-format runtime: every registered codec through the
-    // packed GEMM driver and the full decode loop. Two numbers per
-    // format: the packed GEMM's accuracy against the exact fp32
-    // product (the format's quantization error — kernel parity
-    // against each format's own functional pipeline is verified
-    // first, and exhaustively in cross_format_parity_test), and
-    // decode tokens/s with the format's runtime kernels (per-ISA or
-    // generic, as the codec seam dispatches them) in the linear
-    // layers and KV pages. Rows are emitted in ascending
-    // rel_rmse order, so the committed JSON records the accuracy
-    // ranking of the formats — the bench-smoke gate asserts the
-    // ordering and positive throughput for >= 3 formats.
+    // packed GEMM and a fixed-batch serving decode. Two
+    // numbers per format: the packed GEMM's accuracy against the
+    // exact fp32 product (the format's quantization error — kernel
+    // parity against each format's own functional pipeline is
+    // verified first, and exhaustively in cross_format_parity_test),
+    // and decode tokens/s with the format's runtime kernels (per-ISA
+    // or generic, as the codec seam dispatches them) in the linear
+    // layers and KV pages. Rows are emitted in ascending rel_rmse
+    // order, so the committed JSON records the accuracy ranking of
+    // the formats — the bench-smoke gate asserts the ordering and
+    // positive throughput for >= 3 formats.
     {
         Matrix ga = randomMatrix(24, 512, 71, 4.0);
         Matrix gw = randomMatrix(32, 512, 72, 6.0);
@@ -1066,26 +1102,14 @@ main(int argc, char **argv)
                 std::sqrt(se / static_cast<double>(exact.size()));
             double rel_rmse = std::sqrt(se / ref2);
 
-            DecodeSession s(cc, {.threads = cf_threads,
-                                 .kvMode = KvCacheMode::Packed,
-                                 .codec = codec});
-            Rng rng(777);
-            for (size_t b = 0; b < cf_batch; ++b) {
-                std::vector<int> prompt(cf_prefill);
-                for (auto &t : prompt)
-                    t = static_cast<int>(rng.uniformInt(cc.vocab));
-                s.prefill(s.addSequence(), prompt);
-            }
-            std::vector<int> next(cf_batch);
-            Stopwatch sw;
-            for (size_t t = 0; t < cf_steps; ++t) {
-                for (auto &n : next)
-                    n = static_cast<int>(rng.uniformInt(cc.vocab));
-                s.decode(next);
-            }
+            FixedBatchRun r = runFixedBatch(
+                cc,
+                {.threads = cf_threads,
+                 .kvMode = KvCacheMode::Packed,
+                 .codec = codec},
+                cf_batch, cf_prefill, cf_steps, 777);
             double tps =
-                static_cast<double>(cf_batch * cf_steps) /
-                sw.seconds();
+                static_cast<double>(cf_batch * cf_steps) / r.decodeS;
             rows.push_back(
                 {codec, rmse, rel_rmse, tps,
                  packedCodecInfo(codec).bitsPerElement});

@@ -1,11 +1,13 @@
 /**
  * @file
- * Streaming autoregressive generation through the packed-domain
- * decode runtime: prefill a batch of prompts once, then generate
- * token by token against a persistent KV cache held in the packed
- * M2XFP byte streams (~4.5 bits/element). The same run is repeated
- * with the dense fp32 cache — the bit-exact oracle baseline — to
- * show the resident-memory and throughput trade.
+ * Streaming autoregressive generation through the continuous-batching
+ * ServingEngine: a fixed batch of prompts, all submitted before the
+ * first scheduler step, is prefilled once and then generated token
+ * by token against persistent KV caches held in the packed M2XFP
+ * byte streams (~4.5 bits/element), every token streamed through
+ * the onToken callback. The same run is repeated with the dense fp32
+ * cache — the bit-exact oracle baseline — to show the
+ * resident-memory and throughput trade.
  *
  *   $ ./streaming_generation [--trace PATH]
  *
@@ -17,21 +19,19 @@
  *   $ ./streaming_generation --mixed [--trace PATH]
  *
  * --mixed switches from the fixed batch to mixed traffic through the
- * continuous-batching ServingEngine: requests arrive staggered over
- * the run with ragged prompt and generation lengths, the scheduler
- * admits them against a fixed page arena, re-batches whatever is
- * active each step, and preempts under memory pressure (see
+ * same engine and callback: requests arrive staggered over the run
+ * with ragged prompt and generation lengths, the scheduler admits
+ * them against a fixed page arena, re-batches whatever is active
+ * each step, and preempts under memory pressure (see
  * docs/SERVING.md).
  */
 
 #include <cstdio>
 #include <cstring>
-#include <span>
 #include <string>
 #include <vector>
 
 #include "model/config.hh"
-#include "runtime/decode_session.hh"
 #include "runtime/serving.hh"
 #include "runtime/telemetry.hh"
 #include "util/logging.hh"
@@ -59,15 +59,126 @@ class Stopwatch
     uint64_t start_;
 };
 
-/** Greedy sampling: the arg-max logit of one row. */
-int
-argmaxRow(const Matrix &logits, size_t row)
+/** One request of a traffic script. */
+struct Spec
 {
-    size_t best = 0;
-    for (size_t c = 1; c < logits.cols(); ++c)
-        if (logits(row, c) > logits(row, best))
-            best = c;
-    return static_cast<int>(best);
+    size_t arriveStep, promptLen, maxNew;
+};
+
+/**
+ * Serve @p traffic through a fresh @p engine: request i is submitted
+ * once the scheduler reaches step traffic[i].arriveStep (arrival
+ * step 0 lands before the first step()). Streamed delivery: every
+ * generated token arrives through the onToken callback the moment
+ * the scheduler harvests it — the client-visible stream, interleaved
+ * across requests exactly as decode steps complete. Returns each
+ * request's stream.
+ */
+std::vector<std::vector<int>>
+serve(ServingEngine &engine, const std::vector<Spec> &traffic,
+      unsigned vocab)
+{
+    std::vector<std::vector<int>> streams(traffic.size());
+    engine.onToken([&](size_t req_id, int token, bool is_last) {
+        streams[req_id].push_back(token);
+        if (is_last)
+            std::printf("  * request %zu complete: %zu tokens "
+                        "streamed\n",
+                        req_id, streams[req_id].size());
+    });
+
+    Rng rng(7);
+    size_t submitted = 0, step = 0;
+    while (submitted < traffic.size() || !engine.idle()) {
+        while (submitted < traffic.size() &&
+               traffic[submitted].arriveStep <= step) {
+            const Spec &s = traffic[submitted];
+            std::vector<int> prompt(s.promptLen);
+            for (auto &t : prompt)
+                t = static_cast<int>(rng.uniformInt(vocab));
+            size_t id = engine.submit(std::move(prompt), s.maxNew);
+            std::printf("  step %3zu: + request %zu (prompt %zu, "
+                        "gen %zu)\n",
+                        step, id, s.promptLen, s.maxNew);
+            ++submitted;
+        }
+        engine.step();
+        ++step;
+    }
+    for (size_t id = 0; id < engine.requestCount(); ++id)
+        m2x_assert(streams[id].size() == engine.stats(id).generated,
+                   "streamed token count diverges from stats for "
+                   "request %zu",
+                   id);
+    return streams;
+}
+
+/**
+ * A fixed batch, prefilled once and then generated token by token:
+ * every request arrives before the first step into an arena sized
+ * for all the rows the batch will cache, so step 1 prefills the
+ * whole batch and every later step advances all of it by one token.
+ */
+int
+runFixedBatch(const model::ModelConfig &cfg)
+{
+    const size_t batch = 4, prompt_len = 32, decode_steps = 24;
+    const size_t page_rows = 16;
+    // The prefill yields each request's first token, every decode
+    // step one more; the last token is never fed back into the cache.
+    const std::vector<Spec> traffic(
+        batch, Spec{0, prompt_len, decode_steps + 1});
+    const size_t rows = prompt_len + decode_steps;
+    double tokens_per_s[2] = {0.0, 0.0};
+    KvCacheMode modes[2] = {KvCacheMode::Packed, KvCacheMode::Fp32};
+    for (int mi = 0; mi < 2; ++mi) {
+        KvCacheMode mode = modes[mi];
+        ServingEngine engine(
+            cfg, {.kvMode = mode,
+                  .pageRows = page_rows,
+                  .arenaPages =
+                      batch * 2 * cfg.nLayers *
+                      KvPageArena::pagesForRows(rows, page_rows),
+                  .admitFreeFraction = 0.0});
+        std::printf("[%s cache]\n", kvCacheModeName(mode));
+        Stopwatch total;
+        std::vector<std::vector<int>> streams =
+            serve(engine, traffic, cfg.vocab);
+        double wall = total.seconds();
+        m2x_assert(engine.preemptionCount() == 0 &&
+                       engine.stepCount() == decode_steps,
+                   "fixed batch: %zu preemptions over %zu steps",
+                   engine.preemptionCount(), engine.stepCount());
+
+        // Every request finishes on the last step: the decode span
+        // runs from the last prefill's token to there.
+        const RequestStats &last = engine.stats(batch - 1);
+        double gen_s =
+            1e-9 * static_cast<double>(last.finishNs -
+                                       last.firstTokenNs);
+        tokens_per_s[mi] =
+            static_cast<double>(batch * decode_steps) / gen_s;
+        // K + V rows of every layer, row-granular.
+        double bpt = 2.0 * cfg.nLayers *
+                     static_cast<double>(engine.arena().pageBytes()) /
+                     static_cast<double>(engine.arena().pageRows());
+        std::printf("  %zu seqs x (%zu prompt + %zu generated) in "
+                    "%.3f s\n",
+                    batch, prompt_len, decode_steps + 1, wall);
+        std::printf("  decode: %.0f tokens/s, attention %.3f s\n",
+                    tokens_per_s[mi], engine.attendSeconds());
+        std::printf("  KV cache: %.0f bytes resident at the last "
+                    "step (%.1f bytes/token, %.2f bits/element)\n",
+                    bpt * static_cast<double>(batch * rows), bpt,
+                    bpt * 8.0 / (2.0 * cfg.nLayers * cfg.dModel));
+        std::printf("  seq 0 stream:");
+        for (int t : streams[0])
+            std::printf(" %d", t);
+        std::printf("\n\n");
+    }
+    std::printf("decode packed vs fp32 cache: %.2fx tokens/s\n",
+                tokens_per_s[0] / tokens_per_s[1]);
+    return 0;
 }
 
 /**
@@ -80,10 +191,6 @@ argmaxRow(const Matrix &logits, size_t row)
 int
 runMixed(const model::ModelConfig &cfg)
 {
-    struct Spec
-    {
-        size_t arriveStep, promptLen, maxNew;
-    };
     const std::vector<Spec> traffic = {
         {0, 48, 24}, {1, 12, 40}, {3, 96, 16},  {4, 24, 8},
         {6, 64, 32}, {8, 8, 12},  {10, 160, 20}, {11, 40, 28},
@@ -105,54 +212,15 @@ runMixed(const model::ModelConfig &cfg)
                                     engine.arena().pageBytes()) /
                     1024.0);
 
-    // Streamed delivery: every generated token arrives through the
-    // onToken callback the moment the scheduler harvests it — the
-    // client-visible stream, interleaved across requests exactly as
-    // decode steps complete. Collected per request here; request 0's
-    // finish line prints its stream to show the live path.
-    std::vector<std::vector<int>> streams;
-    size_t streamed = 0;
-    engine.onToken([&](size_t req_id, int token, bool is_last) {
-        if (req_id >= streams.size())
-            streams.resize(req_id + 1);
-        streams[req_id].push_back(token);
-        ++streamed;
-        if (is_last)
-            std::printf("  * request %zu complete: %zu tokens "
-                        "streamed\n",
-                        req_id, streams[req_id].size());
-    });
-
-    Rng rng(7);
-    size_t submitted = 0, step = 0;
     Stopwatch total;
-    while (submitted < traffic.size() || !engine.idle()) {
-        while (submitted < traffic.size() &&
-               traffic[submitted].arriveStep <= step) {
-            const Spec &s = traffic[submitted];
-            std::vector<int> prompt(s.promptLen);
-            for (auto &t : prompt)
-                t = static_cast<int>(rng.uniformInt(cfg.vocab));
-            size_t id = engine.submit(std::move(prompt), s.maxNew);
-            std::printf("  step %3zu: + request %zu (prompt %zu, "
-                        "gen %zu)\n",
-                        step, id, s.promptLen, s.maxNew);
-            ++submitted;
-        }
-        engine.step();
-        ++step;
-    }
+    std::vector<std::vector<int>> streams =
+        serve(engine, traffic, cfg.vocab);
     double wall = total.seconds();
 
     size_t tokens = 0;
     for (size_t id = 0; id < engine.requestCount(); ++id) {
         const RequestStats &st = engine.stats(id);
         tokens += st.generated;
-        m2x_assert(id < streams.size() &&
-                       streams[id].size() == st.generated,
-                   "streamed token count diverges from stats for "
-                   "request %zu",
-                   id);
         std::printf("  request %zu: %-8s prompt %3zu  gen %2zu  "
                     "ttft %6.1f ms  preempted %zux\n",
                     id, requestStateName(st.state), st.promptTokens,
@@ -170,8 +238,8 @@ runMixed(const model::ModelConfig &cfg)
                 engine.arena().highWaterPages(),
                 engine.arena().livePages());
     std::printf("  streamed %zu tokens via onToken; request 0:",
-                streamed);
-    for (int t : streams.empty() ? std::vector<int>{} : streams[0])
+                tokens);
+    for (int t : streams[0])
         std::printf(" %d", t);
     std::printf("\n");
     return 0;
@@ -200,81 +268,16 @@ main(int argc, char **argv)
         telemetry::traceStart(trace_path);
 
     model::ModelConfig cfg = model::llama2_7b();
-    const size_t batch = 4;
-    const size_t prompt_len = 32;
-    const size_t gen_tokens = 24;
-
     std::printf("model %s: %u layers, d_model %u, vocab %u\n\n",
                 cfg.name.c_str(), cfg.nLayers, cfg.dModel,
                 cfg.vocab);
 
-    if (mixed) {
-        int rc = runMixed(cfg);
-        if (!trace_path.empty()) {
-            size_t n = telemetry::traceStop();
-            std::printf("wrote %zu trace events to %s "
-                        "(load at https://ui.perfetto.dev)\n",
-                        n, trace_path.c_str());
-        }
-        return rc;
-    }
-
-    for (KvCacheMode mode :
-         {KvCacheMode::Packed, KvCacheMode::Fp32}) {
-        DecodeSession session(cfg, {.kvMode = mode});
-
-        // Prefill: each prompt runs through the model once, its K/V
-        // rows landing in the sequence's cache; the last row's
-        // logits seed generation.
-        Rng rng(7);
-        std::vector<int> next(batch);
-        Stopwatch total;
-        for (size_t b = 0; b < batch; ++b) {
-            std::vector<int> prompt(prompt_len);
-            for (auto &t : prompt)
-                t = static_cast<int>(rng.uniformInt(cfg.vocab));
-            size_t seq = session.addSequence();
-            Matrix logits = session.prefill(seq, prompt);
-            next[b] = argmaxRow(logits, logits.rows() - 1);
-        }
-
-        // Stream: one decode step advances every sequence by one
-        // token — a single batched chunk through the linears, the
-        // attention fan-out per sequence.
-        std::vector<std::vector<int>> generated(batch);
-        Stopwatch gen;
-        for (size_t t = 0; t < gen_tokens; ++t) {
-            Matrix logits = session.decode(next);
-            for (size_t b = 0; b < batch; ++b) {
-                generated[b].push_back(next[b]);
-                next[b] = argmaxRow(logits, b);
-            }
-        }
-        double gen_s = gen.seconds();
-
-        std::printf("[%s cache] %zu seqs x (%zu prompt + %zu "
-                    "generated) in %.3f s\n",
-                    kvCacheModeName(mode), batch, prompt_len,
-                    gen_tokens, total.seconds());
-        std::printf("  decode: %.0f tokens/s, attention %.3f s\n",
-                    static_cast<double>(batch * gen_tokens) / gen_s,
-                    session.attendSeconds());
-        std::printf("  KV cache: %zu bytes resident "
-                    "(%.1f bytes/token, %.2f bits/element)\n",
-                    session.kvBytes(), session.kvBytesPerToken(),
-                    session.kvBytesPerToken() * 8.0 /
-                        (2.0 * cfg.nLayers * cfg.dModel));
-        std::printf("  seq 0 stream:");
-        for (size_t t = 0; t < generated[0].size(); ++t)
-            std::printf(" %d", generated[0][t]);
-        std::printf("\n\n");
-    }
-
+    int rc = mixed ? runMixed(cfg) : runFixedBatch(cfg);
     if (!trace_path.empty()) {
         size_t n = telemetry::traceStop();
         std::printf("wrote %zu trace events to %s "
                     "(load at https://ui.perfetto.dev)\n",
                     n, trace_path.c_str());
     }
-    return 0;
+    return rc;
 }

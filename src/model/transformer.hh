@@ -51,8 +51,9 @@ LinearFactory fp32LinearFactory();
  * The attention seam between the transformer's per-block projection
  * stage and the score/value computation. The full-forward path uses
  * the built-in causal implementation; incremental decode engines
- * (src/runtime/decode_session) implement this interface to run the
- * same block computation against an externally owned KV cache.
+ * (CacheAttendBackend in src/runtime/serving.hh) implement this
+ * interface to run the same block computation against an externally
+ * owned KV cache.
  */
 class AttentionBackend
 {

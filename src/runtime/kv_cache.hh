@@ -245,7 +245,7 @@ class KvCache
  * KvCache::attend since the last reset (process-wide, any thread).
  * The flash attend's defining property is that this is bounded by
  * O(pageRows · nHeads + queryBlock · dModel) independent of context
- * length — tests assert it and DecodeSession exports it as the
+ * length — tests assert it and ServingEngine exports it as the
  * decode.attend_scratch_bytes gauge: an O(context) score vector
  * per query row is the regression it guards against.
  */

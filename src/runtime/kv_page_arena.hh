@@ -1,7 +1,7 @@
 /**
  * @file
  * KvPageArena: the shared fixed-size-page allocator underneath every
- * KV cache of a decode or serving session.
+ * KV cache of a serving engine.
  *
  * PR 5 gave each sequence its own growable packed streams; that shape
  * cannot serve sequences that are admitted and retired mid-flight,
@@ -27,8 +27,9 @@
  * Capacity is fixed when cfg.capacityPages > 0 — allocPage() returns
  * kvInvalidPage on exhaustion, which the serving scheduler turns into
  * admission stalls and preemption — or elastic (capacityPages == 0)
- * for the fixed-batch DecodeSession special case, where the arena
- * grows on demand but still recycles through the free list.
+ * for a standalone KvCache (tests, single-sequence oracles), where
+ * the arena grows on demand but still recycles through the free
+ * list.
  *
  * Thread-safety: allocPage/freePage and the accounting accessors are
  * safe from concurrent lanes (the decode step fans sequences out over
@@ -81,8 +82,8 @@ struct KvArenaConfig
     size_t pageRows = 16;
     /**
      * Total pages. > 0 = fixed capacity (serving: exhaustion drives
-     * admission stalls and preemption); 0 = elastic (DecodeSession:
-     * grows on demand, still free-list recycled).
+     * admission stalls and preemption); 0 = elastic (standalone
+     * KvCache: grows on demand, still free-list recycled).
      */
     size_t capacityPages = 0;
     /**

@@ -1,6 +1,7 @@
 #include "runtime/serving.hh"
 
 #include <algorithm>
+#include <numeric>
 
 #include "runtime/telemetry.hh"
 #include "util/logging.hh"
@@ -22,6 +23,7 @@ std::atomic<telemetry::Gauge *> activeSlot{nullptr};
 std::atomic<telemetry::Gauge *> queuedSlot{nullptr};
 std::atomic<telemetry::Gauge *> freePagesSlot{nullptr};
 std::atomic<telemetry::Gauge *> highWaterSlot{nullptr};
+std::atomic<telemetry::Gauge *> attendScratchSlot{nullptr};
 /** @} */
 
 /** Greedy sampling: the arg-max logit of one row. */
@@ -51,6 +53,32 @@ requestStateName(RequestState s)
         return "finished";
     }
     return "?";
+}
+
+Matrix
+CacheAttendBackend::forwardChunk(const model::TinyTransformer &model,
+                                 KvCache &cache,
+                                 std::span<const int> tokens)
+{
+    positions_.resize(tokens.size());
+    std::iota(positions_.begin(), positions_.end(), cache.length());
+    beginChunk(cache);
+    return model.forwardChunk(tokens, positions_, *this);
+}
+
+Matrix
+CacheAttendBackend::forwardRows(const model::TinyTransformer &model,
+                                std::span<KvCache *const> caches,
+                                std::span<const int> tokens)
+{
+    m2x_assert(caches.size() == tokens.size(),
+               "forwardRows: %zu caches for %zu tokens", caches.size(),
+               tokens.size());
+    positions_.clear();
+    for (const KvCache *c : caches)
+        positions_.push_back(c->length());
+    beginRows(caches);
+    return model.forwardChunk(tokens, positions_, *this);
 }
 
 Matrix
@@ -195,20 +223,16 @@ ServingEngine::activate(size_t id)
     std::vector<int> hist(r.prompt);
     if (resumed)
         hist.insert(hist.end(), r.out.begin(), r.out.end() - 1);
-    std::vector<size_t> positions(hist.size());
-    for (size_t t = 0; t < hist.size(); ++t)
-        positions[t] = t;
 
     r.cache = std::make_unique<KvCache>(arena_,
                                         model_.config().nLayers);
-    backend_.beginChunk(*r.cache);
     telemetry::TraceSpan span("serving.prefill");
     if (span.active()) {
         span.arg("request", id);
         span.arg("tokens", hist.size());
         span.arg("resumed", resumed ? 1 : 0);
     }
-    Matrix logits = model_.forwardChunk(hist, positions, backend_);
+    Matrix logits = backend_.forwardChunk(model_, *r.cache, hist);
     uint64_t now = telemetry::nowNanos();
     r.st.state = RequestState::Active;
     if (auto *c = telemetry::cachedCounter(admitSlot,
@@ -335,6 +359,9 @@ ServingEngine::updateGauges()
     if (auto *g = telemetry::cachedGauge(
             highWaterSlot, "serving.high_water_pages"))
         g->set(static_cast<double>(arena_.highWaterPages()));
+    if (auto *g = telemetry::cachedGauge(
+            attendScratchSlot, "decode.attend_scratch_bytes"))
+        g->set(static_cast<double>(attendScratchPeakBytes()));
 }
 
 bool
@@ -357,18 +384,15 @@ ServingEngine::step()
     }
 
     stepTokens_.clear();
-    stepPositions_.clear();
     rowCaches_.clear();
     for (size_t id : active_) {
         Request &r = reqs_[id];
         stepTokens_.push_back(r.out.back());
-        stepPositions_.push_back(r.cache->length());
         rowCaches_.push_back(r.cache.get());
     }
-    backend_.beginRows(rowCaches_);
     uint64_t t0 = telemetry::nowNanos();
     Matrix logits =
-        model_.forwardChunk(stepTokens_, stepPositions_, backend_);
+        backend_.forwardRows(model_, rowCaches_, stepTokens_);
     uint64_t now = telemetry::nowNanos();
 
     auto *token_h =

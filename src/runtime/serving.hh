@@ -2,8 +2,7 @@
  * @file
  * Continuous-batching serving engine over the paged packed KV cache.
  *
- * Where DecodeSession runs a fixed batch to completion, the
- * ServingEngine admits and retires sequences mid-flight over one
+ * The ServingEngine admits and retires sequences mid-flight over one
  * shared fixed-capacity KvPageArena — the shape the paper's 4.5
  * bits/element KV state is for: compressed pages are what let many
  * concurrent sequences fit one arena byte budget (~7.1x the
@@ -31,6 +30,11 @@
  *     are sampled greedily, finished sequences retire and their
  *     pages return to the free list.
  *
+ * A fixed batch is the special case of submitting every request
+ * before the first step() into an arena sized to hold them all
+ * (KvPageArena::pagesForRows): step 1 admits and prefills the whole
+ * batch, and every later step advances all of it by one token.
+ *
  * Request lifecycle: Queued -> Active -> (Preempted -> Active)* ->
  * Finished. See docs/SERVING.md for the policy rationale and the
  * page-table layout.
@@ -39,9 +43,9 @@
  * serving.prefill trace spans, serving.step_ns / serving.token_ns /
  * serving.ttft_ns histograms, serving.tokens / serving.preemptions
  * counters, serving.occupancy / serving.active / serving.queued /
- * serving.free_pages gauges.
+ * serving.free_pages / decode.attend_scratch_bytes gauges.
  *
- * Like the sessions, one engine expects a single driving thread;
+ * Like InferenceSession, one engine expects a single driving thread;
  * parallelism lives inside the packed kernels and the per-sequence
  * attention fan-out.
  */
@@ -80,9 +84,9 @@ namespace runtime {
  *    step) — fan the rows out over the pool, each lane appending +
  *    attending its own caches (nested attends run inline).
  *
- * DecodeSession and ServingEngine both drive this backend — the
- * fixed-batch session is literally the special case where the row
- * set never changes.
+ * forwardChunk()/forwardRows() run one whole forward in either mode
+ * — the KV-cached generation path of the ServingEngine, and of the
+ * single-sequence oracles in tests and benches.
  */
 class CacheAttendBackend : public model::AttentionBackend
 {
@@ -96,6 +100,26 @@ class CacheAttendBackend : public model::AttentionBackend
                        std::atomic<uint64_t> *attend_nanos)
         : pool_(pool), attendNanos_(attend_nanos)
     {}
+
+    /**
+     * Run @p tokens through @p model as the next chunk of @p cache's
+     * sequence (positions cache.length() onward), appending their
+     * K/V rows. Returns the chunk's logits [tokens, vocab]. Chunk
+     * boundaries are invisible to the math, so a sequence may
+     * prefill in several chunks.
+     */
+    Matrix forwardChunk(const model::TinyTransformer &model,
+                        KvCache &cache, std::span<const int> tokens);
+
+    /**
+     * One ragged step: @p tokens[r] advances @p caches[r] by one row
+     * at position caches[r]->length(). Returns logits [rows, vocab],
+     * row r for caches[r]. Linear layers run batched over the rows;
+     * attention fans out per cache on the pool.
+     */
+    Matrix forwardRows(const model::TinyTransformer &model,
+                       std::span<KvCache *const> caches,
+                       std::span<const int> tokens);
 
     /** Route the next forward as a one-sequence prefill chunk. */
     void
@@ -127,6 +151,7 @@ class CacheAttendBackend : public model::AttentionBackend
     std::atomic<uint64_t> *attendNanos_;
     KvCache *chunk_ = nullptr;
     std::span<KvCache *const> rowCaches_{};
+    std::vector<size_t> positions_; //!< reused per forward
 };
 
 /**
@@ -338,7 +363,6 @@ class ServingEngine
     /** Per-step scratch (single driving thread). */
     std::vector<KvCache *> rowCaches_;
     std::vector<int> stepTokens_;
-    std::vector<size_t> stepPositions_;
 };
 
 } // namespace runtime

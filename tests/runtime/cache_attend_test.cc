@@ -1,11 +1,11 @@
 /**
  * @file
- * DecodeSession: incremental prefill + stepwise decode must
- * reproduce the one-shot full forward — bit-exactly with the fp32
- * cache (the oracle mode replicates the causal attention arithmetic
- * operation for operation), and within the established model-level
- * tolerance with the packed cache against a reference that
- * quantizes K/V through the functional §6.4 path. Covers ragged
+ * CacheAttendBackend over KvCache: incremental prefill + stepwise
+ * decode must reproduce the one-shot full forward — bit-exactly with
+ * the fp32 cache (the oracle mode replicates the causal attention
+ * arithmetic operation for operation), and within the established
+ * model-level tolerance with the packed cache against a reference
+ * that quantizes K/V through the functional §6.4 path. Covers ragged
  * batches, cache growth across prefill-chunk boundaries, and
  * single-token prefill.
  */
@@ -16,100 +16,42 @@
 #include <vector>
 
 #include "core/m2xfp.hh"
-#include "runtime/decode_session.hh"
+#include "runtime/kv_cache.hh"
+#include "runtime/serving.hh"
 #include "runtime_test_util.hh"
-#include "util/rng.hh"
 
 namespace m2x {
 namespace runtime {
 namespace {
 
-model::ModelConfig
-tinyConfig()
-{
-    model::ModelConfig cfg;
-    cfg.name = "test-tiny";
-    cfg.dModel = 64;
-    cfg.nHeads = 2;
-    cfg.nLayers = 2;
-    cfg.dFf = 96;
-    cfg.vocab = 64;
-    cfg.seed = 7;
-    return cfg;
-}
+using test::kvQuantizedReference;
+using test::packedModel;
+using test::randomTokens;
+using test::runPrefillDecode;
+using test::tinyConfig;
 
-std::vector<int>
-randomTokens(size_t n, unsigned vocab, uint64_t seed)
-{
-    std::vector<int> toks(n);
-    Rng rng(seed);
-    for (auto &t : toks)
-        t = static_cast<int>(rng.uniformInt(vocab));
-    return toks;
-}
-
-/**
- * Prefill the first @p prefill_len tokens, then decode the rest one
- * by one; returns the assembled [tokens, vocab] logits.
- */
-Matrix
-runPrefillDecode(DecodeSession &s, const std::vector<int> &toks,
-                 size_t prefill_len)
-{
-    size_t seq = s.addSequence();
-    std::span<const int> all(toks);
-    Matrix chunk = s.prefill(seq, all.subspan(0, prefill_len));
-    Matrix out(toks.size(), chunk.cols());
-    for (size_t t = 0; t < prefill_len; ++t)
-        for (size_t c = 0; c < chunk.cols(); ++c)
-            out(t, c) = chunk(t, c);
-    for (size_t t = prefill_len; t < toks.size(); ++t) {
-        int tok = toks[t];
-        Matrix step = s.decode({&tok, 1});
-        EXPECT_EQ(step.rows(), 1u);
-        for (size_t c = 0; c < step.cols(); ++c)
-            out(t, c) = step(0, c);
-    }
-    EXPECT_EQ(s.length(seq), toks.size());
-    return out;
-}
-
-/** A reference model with functionally §6.4-quantized K/V. */
-model::TinyTransformer
-kvQuantizedReference(const model::ModelConfig &cfg, SimdIsa isa)
-{
-    model::TinyTransformer ref(cfg);
-    ref.rebuild(packedLinearFactory({}, nullptr, nullptr, isa));
-    ref.setKvQuantizers(
-        [] {
-            return std::make_shared<ElemEmQuantizer>(
-                makeM2xfpActivationQuantizer());
-        },
-        nullptr);
-    return ref;
-}
-
-TEST(DecodeSession, Fp32CacheMatchesOneShotExactly)
+TEST(CacheAttendBackend, Fp32CacheMatchesOneShotExactly)
 {
     model::ModelConfig cfg = tinyConfig();
     std::vector<int> toks = randomTokens(13, cfg.vocab, 1);
     for (SimdIsa isa : supportedSimdIsas()) {
         SCOPED_TRACE(std::string("isa=") + simdIsaName(isa));
-        DecodeSession s(cfg,
-                        {.isa = isa, .kvMode = KvCacheMode::Fp32});
-        EXPECT_EQ(s.simdIsa(), isa);
-        Matrix got = runPrefillDecode(s, toks, 6);
+        model::TinyTransformer m =
+            packedModel(cfg, isa, defaultPackedCodec());
+        KvCache cache(cfg.nLayers, cfg.kvDim(), KvCacheMode::Fp32, {},
+                      isa);
+        EXPECT_EQ(cache.simdIsa(), isa);
+        Matrix got = runPrefillDecode(m, cache, toks, 6);
         // The fp32 cache replicates the full forward's arithmetic,
         // and per-row linear outputs are independent of the chunk's
         // row count on every tier — so incremental decode is
         // bit-exact against the one-shot forward, vector tiers
         // included.
-        Matrix want = s.model().forwardLogits(toks);
-        test::expectMatricesBitExact(got, want);
+        test::expectMatricesBitExact(got, m.forwardLogits(toks));
     }
 }
 
-TEST(DecodeSession, PackedCacheMatchesKvQuantizedOneShot)
+TEST(CacheAttendBackend, PackedCacheMatchesKvQuantizedOneShot)
 {
     model::ModelConfig cfg = tinyConfig();
     std::vector<int> toks = randomTokens(13, cfg.vocab, 2);
@@ -118,10 +60,10 @@ TEST(DecodeSession, PackedCacheMatchesKvQuantizedOneShot)
         // Pinned to elem_em: the oracle below quantizes K/V through
         // the paper codec, whatever M2X_FORMAT says (cross-format
         // coverage lives in cross_format_parity_test).
-        DecodeSession s(cfg, {.isa = isa,
-                              .kvMode = KvCacheMode::Packed,
-                              .codec = PackedCodec::ElemEm});
-        Matrix got = runPrefillDecode(s, toks, 6);
+        model::TinyTransformer m = packedModel(cfg, isa);
+        KvCache cache(cfg.nLayers, cfg.kvDim(), KvCacheMode::Packed,
+                      {}, isa);
+        Matrix got = runPrefillDecode(m, cache, toks, 6);
         // The packed rows decode to exactly the values the
         // functional Elem-EM codec produces, so the only difference
         // vs the reference is attention-kernel reassociation —
@@ -132,7 +74,7 @@ TEST(DecodeSession, PackedCacheMatchesKvQuantizedOneShot)
     }
 }
 
-TEST(DecodeSession, PackedCacheNonMultipleOf32Width)
+TEST(CacheAttendBackend, PackedCacheNonMultipleOf32Width)
 {
     // d_model = 40: every cached row ends in a padded tail group —
     // the packed tail must decode to the same values the functional
@@ -141,27 +83,30 @@ TEST(DecodeSession, PackedCacheNonMultipleOf32Width)
     cfg.dModel = 40;
     cfg.nHeads = 2;
     std::vector<int> toks = randomTokens(9, cfg.vocab, 3);
-    DecodeSession s(cfg, {.kvMode = KvCacheMode::Packed,
-                          .codec = PackedCodec::ElemEm});
-    Matrix got = runPrefillDecode(s, toks, 4);
-    model::TinyTransformer ref =
-        kvQuantizedReference(cfg, s.simdIsa());
+    SimdIsa isa = activeSimdIsa();
+    model::TinyTransformer m = packedModel(cfg, isa);
+    KvCache cache(cfg.nLayers, cfg.kvDim(), KvCacheMode::Packed);
+    Matrix got = runPrefillDecode(m, cache, toks, 4);
+    model::TinyTransformer ref = kvQuantizedReference(cfg, isa);
     test::expectMatricesClose(got, ref.forwardLogits(toks), 1e-5);
 }
 
-TEST(DecodeSession, ChunkedPrefillCrossesGrowthBoundaries)
+TEST(CacheAttendBackend, ChunkedPrefillCrossesGrowthBoundaries)
 {
     model::ModelConfig cfg = tinyConfig();
     std::vector<int> toks = randomTokens(13, cfg.vocab, 4);
     std::span<const int> all(toks);
+    SimdIsa isa = activeSimdIsa();
+    PackedCodec codec = defaultPackedCodec();
+    model::TinyTransformer m = packedModel(cfg, isa, codec);
     for (KvCacheMode mode :
          {KvCacheMode::Fp32, KvCacheMode::Packed}) {
         SCOPED_TRACE(kvCacheModeName(mode));
-        DecodeSession whole(cfg, {.kvMode = mode});
-        DecodeSession chunked(cfg, {.kvMode = mode});
-        size_t ws = whole.addSequence();
-        size_t cs = chunked.addSequence();
-        Matrix want = whole.prefill(ws, all);
+        KvCache whole(cfg.nLayers, cfg.kvDim(), mode, {}, isa, codec);
+        KvCache chunked(cfg.nLayers, cfg.kvDim(), mode, {}, isa,
+                        codec);
+        CacheAttendBackend backend(nullptr, nullptr);
+        Matrix want = backend.forwardChunk(m, whole, all);
 
         // 1 + 5 + 7 tokens: growth across chunk boundaries must be
         // invisible — identical logits (the engine is deterministic
@@ -170,18 +115,19 @@ TEST(DecodeSession, ChunkedPrefillCrossesGrowthBoundaries)
         size_t chunks[] = {1, 5, 7};
         size_t t0 = 0;
         for (size_t n : chunks) {
-            Matrix part = chunked.prefill(cs, all.subspan(t0, n));
+            Matrix part =
+                backend.forwardChunk(m, chunked, all.subspan(t0, n));
             for (size_t t = 0; t < n; ++t)
                 for (size_t c = 0; c < part.cols(); ++c)
                     got(t0 + t, c) = part(t, c);
             t0 += n;
         }
         test::expectMatricesBitExact(got, want);
-        EXPECT_EQ(chunked.kvBytes(), whole.kvBytes());
+        EXPECT_EQ(chunked.totalBytes(), whole.totalBytes());
     }
 }
 
-TEST(DecodeSession, RaggedBatchDecode)
+TEST(CacheAttendBackend, RaggedBatchDecode)
 {
     model::ModelConfig cfg = tinyConfig();
     // Prompt lengths 5, 9 and 1 (single-token prefill edge case),
@@ -197,21 +143,30 @@ TEST(DecodeSession, RaggedBatchDecode)
     for (size_t t = 0; t < steps; ++t)
         next[t] = randomTokens(prompts.size(), cfg.vocab, 20 + t);
 
+    SimdIsa isa = activeSimdIsa();
+    ThreadPool pool(2);
+    model::TinyTransformer m =
+        packedModel(cfg, isa, PackedCodec::ElemEm, &pool);
+    model::TinyTransformer ref = kvQuantizedReference(cfg, isa);
     for (KvCacheMode mode :
          {KvCacheMode::Fp32, KvCacheMode::Packed}) {
         SCOPED_TRACE(kvCacheModeName(mode));
-        DecodeSession s(cfg, {.threads = 2,
-                              .kvMode = mode,
-                              .codec = PackedCodec::ElemEm});
+        // Every sequence's cache draws from one shared arena, as
+        // the serving engine's do.
+        KvPageArena arena(cfg.kvDim(), mode, {}, isa);
+        std::vector<KvCache> caches;
+        std::vector<KvCache *> rows;
+        caches.reserve(prompts.size());
+        CacheAttendBackend backend(&pool, nullptr);
         std::vector<std::vector<int>> full = prompts;
         std::vector<std::vector<Matrix>> step_logits(prompts.size());
-        for (size_t i = 0; i < prompts.size(); ++i) {
-            size_t seq = s.addSequence();
-            ASSERT_EQ(seq, i);
-            s.prefill(seq, prompts[i]);
+        for (const std::vector<int> &p : prompts) {
+            caches.emplace_back(arena, cfg.nLayers);
+            rows.push_back(&caches.back());
+            backend.forwardChunk(m, caches.back(), p);
         }
         for (size_t t = 0; t < steps; ++t) {
-            Matrix logits = s.decode(next[t]);
+            Matrix logits = backend.forwardRows(m, rows, next[t]);
             ASSERT_EQ(logits.rows(), prompts.size());
             for (size_t i = 0; i < prompts.size(); ++i) {
                 full[i].push_back(next[t][i]);
@@ -221,15 +176,12 @@ TEST(DecodeSession, RaggedBatchDecode)
                 step_logits[i].push_back(std::move(row));
             }
         }
-        model::TinyTransformer ref =
-            kvQuantizedReference(cfg, s.simdIsa());
         for (size_t i = 0; i < prompts.size(); ++i) {
             SCOPED_TRACE("seq " + std::to_string(i));
-            EXPECT_EQ(s.length(i), full[i].size());
-            Matrix want =
-                mode == KvCacheMode::Fp32
-                    ? s.model().forwardLogits(full[i])
-                    : ref.forwardLogits(full[i]);
+            EXPECT_EQ(caches[i].length(), full[i].size());
+            Matrix want = mode == KvCacheMode::Fp32
+                              ? m.forwardLogits(full[i])
+                              : ref.forwardLogits(full[i]);
             // Check the decode-step rows (the last `steps` rows).
             for (size_t t = 0; t < steps; ++t) {
                 size_t row = full[i].size() - steps + t;
@@ -249,18 +201,27 @@ TEST(DecodeSession, RaggedBatchDecode)
     }
 }
 
-TEST(DecodeSession, KvBytesAccounting)
+TEST(CacheAttendBackend, KvBytesAccounting)
 {
     model::ModelConfig cfg = tinyConfig();
     std::vector<int> toks = randomTokens(12, cfg.vocab, 30);
+    SimdIsa isa = activeSimdIsa();
+    PackedCodec codec = defaultPackedCodec();
+    model::TinyTransformer m = packedModel(cfg, isa, codec);
 
-    DecodeSession packed(cfg, {.kvMode = KvCacheMode::Packed});
-    DecodeSession fp32(cfg, {.kvMode = KvCacheMode::Fp32});
-    for (DecodeSession *s : {&packed, &fp32}) {
-        size_t a = s->addSequence();
-        size_t b = s->addSequence();
-        s->prefill(a, toks);
-        s->prefill(b, std::span<const int>(toks).subspan(0, 7));
+    // Two sequences (12 and 7 tokens) on one arena per mode.
+    size_t bytes[2];
+    KvCacheMode modes[2] = {KvCacheMode::Packed, KvCacheMode::Fp32};
+    for (int mi = 0; mi < 2; ++mi) {
+        KvPageArena arena(cfg.kvDim(), modes[mi], {}, isa,
+                          KvArenaConfig{.codec = codec});
+        KvCache a(arena, cfg.nLayers), b(arena, cfg.nLayers);
+        CacheAttendBackend backend(nullptr, nullptr);
+        backend.forwardChunk(m, a, toks);
+        backend.forwardChunk(m, b,
+                             std::span<const int>(toks).subspan(0, 7));
+        EXPECT_EQ(a.mode(), modes[mi]);
+        bytes[mi] = a.totalBytes() + b.totalBytes();
     }
     size_t tokens = 12 + 7;
     // Per token per layer: K + V at groupsPerRow * 18 bytes each.
@@ -268,14 +229,11 @@ TEST(DecodeSession, KvBytesAccounting)
     size_t packed_want = tokens * 2 * cfg.nLayers * groups * 18;
     size_t fp32_want =
         tokens * 2 * cfg.nLayers * cfg.dModel * sizeof(float);
-    EXPECT_EQ(packed.kvBytes(), packed_want);
-    EXPECT_EQ(fp32.kvBytes(), fp32_want);
-    EXPECT_DOUBLE_EQ(fp32.kvBytesPerToken() /
-                         packed.kvBytesPerToken(),
+    EXPECT_EQ(bytes[0], packed_want);
+    EXPECT_EQ(bytes[1], fp32_want);
+    EXPECT_DOUBLE_EQ(static_cast<double>(bytes[1]) /
+                         static_cast<double>(bytes[0]),
                      32.0 / 4.5);
-    EXPECT_GT(packed.attendSeconds(), 0.0);
-    EXPECT_EQ(packed.kvMode(), KvCacheMode::Packed);
-    EXPECT_EQ(packed.batchSize(), 2u);
 }
 
 } // anonymous namespace

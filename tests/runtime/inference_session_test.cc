@@ -14,35 +14,13 @@
 #include "core/m2xfp.hh"
 #include "runtime/inference_session.hh"
 #include "runtime_test_util.hh"
-#include "util/rng.hh"
 
 namespace m2x {
 namespace runtime {
 namespace {
 
-model::ModelConfig
-tinyConfig()
-{
-    model::ModelConfig cfg;
-    cfg.name = "test-tiny";
-    cfg.dModel = 64;
-    cfg.nHeads = 2;
-    cfg.nLayers = 2;
-    cfg.dFf = 96;
-    cfg.vocab = 64;
-    cfg.seed = 7;
-    return cfg;
-}
-
-std::vector<int>
-randomTokens(size_t n, unsigned vocab, uint64_t seed)
-{
-    std::vector<int> toks(n);
-    Rng rng(seed);
-    for (auto &t : toks)
-        t = static_cast<int>(rng.uniformInt(vocab));
-    return toks;
-}
+using test::randomTokens;
+using test::tinyConfig;
 
 TEST(InferenceSession, MatchesFunctionalQuantizedTransformer)
 {

@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "core/m2xfp.hh"
-#include "runtime/decode_session.hh"
 #include "runtime/kv_attend_kernels.hh"
 #include "runtime/kv_cache.hh"
 #include "runtime_test_util.hh"
@@ -28,65 +27,13 @@ namespace m2x {
 namespace runtime {
 namespace {
 
-model::ModelConfig
-tinyConfig()
-{
-    model::ModelConfig cfg;
-    cfg.name = "test-flash";
-    cfg.dModel = 64;
-    cfg.nHeads = 2;
-    cfg.nLayers = 2;
-    cfg.dFf = 96;
-    cfg.vocab = 64;
-    cfg.seed = 7;
-    return cfg;
-}
+using test::kvQuantizedReference;
+using test::packedModel;
+using test::randomTokens;
+using test::tinyConfig;
 
-std::vector<int>
-randomTokens(size_t n, unsigned vocab, uint64_t seed)
-{
-    std::vector<int> toks(n);
-    Rng rng(seed);
-    for (auto &t : toks)
-        t = static_cast<int>(rng.uniformInt(vocab));
-    return toks;
-}
-
-/** A reference model with functionally §6.4-quantized K/V. */
-model::TinyTransformer
-kvQuantizedReference(const model::ModelConfig &cfg, SimdIsa isa)
-{
-    model::TinyTransformer ref(cfg);
-    ref.rebuild(packedLinearFactory({}, nullptr, nullptr, isa));
-    ref.setKvQuantizers(
-        [] {
-            return std::make_shared<ElemEmQuantizer>(
-                makeM2xfpActivationQuantizer());
-        },
-        nullptr);
-    return ref;
-}
-
-/** Prefill half, decode the rest; returns the full logits. */
-Matrix
-runPrefillDecode(DecodeSession &s, const std::vector<int> &toks)
-{
-    size_t seq = s.addSequence();
-    size_t prefill_len = std::max<size_t>(1, toks.size() / 2);
-    std::span<const int> all(toks);
-    Matrix chunk = s.prefill(seq, all.subspan(0, prefill_len));
-    Matrix out(toks.size(), chunk.cols());
-    for (size_t t = 0; t < prefill_len; ++t)
-        for (size_t c = 0; c < chunk.cols(); ++c)
-            out(t, c) = chunk(t, c);
-    for (size_t t = prefill_len; t < toks.size(); ++t) {
-        int tok = toks[t];
-        Matrix step = s.decode({&tok, 1});
-        for (size_t c = 0; c < step.cols(); ++c)
-            out(t, c) = step(0, c);
-    }
-    return out;
-}
+/** Rows per page of a standalone KvCache's arena. */
+constexpr size_t pageRows = KvArenaConfig{}.pageRows;
 
 /**
  * End-to-end parity of prefill + decode against the one-shot oracle
@@ -98,24 +45,29 @@ expectOracleParity(const model::ModelConfig &cfg, size_t tokens,
                    uint64_t seed)
 {
     std::vector<int> toks = randomTokens(tokens, cfg.vocab, seed);
+    // Prefill half, decode the rest.
+    size_t prefill_len = std::max<size_t>(1, toks.size() / 2);
     for (SimdIsa isa : supportedSimdIsas()) {
         SCOPED_TRACE(std::string("isa=") + simdIsaName(isa) +
                      " tokens=" + std::to_string(tokens));
         {
-            DecodeSession s(
-                cfg, {.isa = isa, .kvMode = KvCacheMode::Fp32});
-            Matrix got = runPrefillDecode(s, toks);
-            test::expectMatricesBitExact(
-                got, s.model().forwardLogits(toks));
+            model::TinyTransformer m =
+                packedModel(cfg, isa, defaultPackedCodec());
+            KvCache cache(cfg.nLayers, cfg.kvDim(), KvCacheMode::Fp32,
+                          {}, isa);
+            Matrix got =
+                test::runPrefillDecode(m, cache, toks, prefill_len);
+            test::expectMatricesBitExact(got, m.forwardLogits(toks));
         }
         {
             // Pinned to elem_em: the KV-quantized oracle below is
             // the paper codec, whatever M2X_FORMAT says (the other
             // codecs' attend parity lives in cross_format_parity_test).
-            DecodeSession s(cfg, {.isa = isa,
-                                  .kvMode = KvCacheMode::Packed,
-                                  .codec = PackedCodec::ElemEm});
-            Matrix got = runPrefillDecode(s, toks);
+            model::TinyTransformer m = packedModel(cfg, isa);
+            KvCache cache(cfg.nLayers, cfg.kvDim(),
+                          KvCacheMode::Packed, {}, isa);
+            Matrix got =
+                test::runPrefillDecode(m, cache, toks, prefill_len);
             model::TinyTransformer ref = kvQuantizedReference(cfg,
                                                               isa);
             test::expectMatricesClose(got, ref.forwardLogits(toks),
@@ -130,10 +82,9 @@ TEST(FlashAttend, OracleParityAtPageBoundaryContexts)
     // a single partial page, an exactly-full page, and the first row
     // of a fresh page — the off-by-one surface of the page walk.
     model::ModelConfig cfg = tinyConfig();
-    const size_t page_rows = DecodeConfig{}.pageRows;
     uint64_t seed = 40;
     for (size_t tokens :
-         {size_t(1), page_rows - 1, page_rows, page_rows + 1})
+         {size_t(1), pageRows - 1, pageRows, pageRows + 1})
         expectOracleParity(cfg, tokens, seed++);
 }
 
@@ -143,7 +94,7 @@ TEST(FlashAttend, OracleParityNonMultipleOf32DModel)
     // head dim that is not a vector-width multiple on any tier.
     model::ModelConfig cfg = tinyConfig();
     cfg.dModel = 40;
-    expectOracleParity(cfg, DecodeConfig{}.pageRows + 1, 50);
+    expectOracleParity(cfg, pageRows + 1, 50);
 }
 
 TEST(FlashAttend, GqaMatchesGroupedOracle)

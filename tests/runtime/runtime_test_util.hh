@@ -1,7 +1,8 @@
 /**
  * @file
- * Shared helpers for the runtime test binaries: random operands and
- * ISA-aware matrix comparison.
+ * Shared helpers for the runtime test binaries: random operands,
+ * ISA-aware matrix comparison, and the tiny model plus KV-cached
+ * generation helpers the decode and serving oracles share.
  *
  * The scalar kernel tier is the bit-exact oracle; vector tiers may
  * reassociate the double accumulation, so they are held to a tight
@@ -20,8 +21,14 @@
 #include <string>
 #include <vector>
 
+#include "core/m2xfp.hh"
 #include "core/m2xfp_packed.hh"
+#include "model/config.hh"
+#include "model/transformer.hh"
 #include "quant/matrix.hh"
+#include "runtime/inference_session.hh"
+#include "runtime/kv_cache.hh"
+#include "runtime/serving.hh"
 #include "runtime/simd.hh"
 #include "util/rng.hh"
 
@@ -118,6 +125,119 @@ oneGroupTensor(uint8_t elem_byte, uint8_t scale_code,
     return PackedM2xfpTensor::fromRawStreams(
         1, info.groupSize, std::move(elems), {scale_code},
         {meta_byte}, codec);
+}
+
+/** The small transformer every decode and serving test runs. */
+inline model::ModelConfig
+tinyConfig()
+{
+    model::ModelConfig cfg;
+    cfg.name = "test-tiny";
+    cfg.dModel = 64;
+    cfg.nHeads = 2;
+    cfg.nLayers = 2;
+    cfg.dFf = 96;
+    cfg.vocab = 64;
+    cfg.seed = 7;
+    return cfg;
+}
+
+inline std::vector<int>
+randomTokens(size_t n, unsigned vocab, uint64_t seed)
+{
+    std::vector<int> toks(n);
+    Rng rng(seed);
+    for (auto &t : toks)
+        t = static_cast<int>(rng.uniformInt(vocab));
+    return toks;
+}
+
+/** Greedy sampling: the arg-max logit of one row. */
+inline int
+argmaxRow(const Matrix &logits, size_t row)
+{
+    size_t best = 0;
+    for (size_t c = 1; c < logits.cols(); ++c)
+        if (logits(row, c) > logits(row, best))
+            best = c;
+    return static_cast<int>(best);
+}
+
+/** A model whose linear layers run packed in @p codec on @p isa. */
+inline model::TinyTransformer
+packedModel(const model::ModelConfig &cfg, SimdIsa isa,
+            PackedCodec codec = PackedCodec::ElemEm,
+            ThreadPool *pool = nullptr)
+{
+    model::TinyTransformer m(cfg);
+    m.rebuild(packedLinearFactory({}, pool, nullptr, isa, codec));
+    return m;
+}
+
+/** A reference model with functionally §6.4-quantized K/V. */
+inline model::TinyTransformer
+kvQuantizedReference(const model::ModelConfig &cfg, SimdIsa isa)
+{
+    model::TinyTransformer ref = packedModel(cfg, isa);
+    ref.setKvQuantizers(
+        [] {
+            return std::make_shared<ElemEmQuantizer>(
+                makeM2xfpActivationQuantizer());
+        },
+        nullptr);
+    return ref;
+}
+
+/**
+ * Prefill the first @p prefill_len tokens into @p cache as one
+ * chunk, then decode the rest one token per step; returns the
+ * assembled [tokens, vocab] logits.
+ */
+inline Matrix
+runPrefillDecode(const model::TinyTransformer &m, KvCache &cache,
+                 const std::vector<int> &toks, size_t prefill_len)
+{
+    CacheAttendBackend backend(nullptr, nullptr);
+    std::span<const int> all(toks);
+    Matrix chunk =
+        backend.forwardChunk(m, cache, all.subspan(0, prefill_len));
+    Matrix out(toks.size(), chunk.cols());
+    for (size_t t = 0; t < prefill_len; ++t)
+        for (size_t c = 0; c < chunk.cols(); ++c)
+            out(t, c) = chunk(t, c);
+    KvCache *const row[] = {&cache};
+    for (size_t t = prefill_len; t < toks.size(); ++t) {
+        Matrix step = backend.forwardRows(m, row, all.subspan(t, 1));
+        EXPECT_EQ(step.rows(), 1u);
+        for (size_t c = 0; c < step.cols(); ++c)
+            out(t, c) = step(0, c);
+    }
+    EXPECT_EQ(cache.length(), toks.size());
+    return out;
+}
+
+/**
+ * The serving parity oracle: @p prompt generated greedily alone,
+ * one KV-cached step per token, on @p isa with @p codec in the
+ * linear layers and (packed mode) the KV pages.
+ */
+inline std::vector<int>
+greedyReference(const model::ModelConfig &mc, KvCacheMode mode,
+                SimdIsa isa, PackedCodec codec,
+                const std::vector<int> &prompt, size_t max_new)
+{
+    model::TinyTransformer m = packedModel(mc, isa, codec);
+    KvCache cache(mc.nLayers, mc.kvDim(), mode, {}, isa, codec);
+    CacheAttendBackend backend(nullptr, nullptr);
+    Matrix logits = backend.forwardChunk(m, cache, prompt);
+    std::vector<int> out{argmaxRow(logits, logits.rows() - 1)};
+    KvCache *const row[] = {&cache};
+    while (out.size() < max_new) {
+        int next = out.back();
+        out.push_back(
+            argmaxRow(backend.forwardRows(m, row, {&next, 1}), 0));
+    }
+    return out;
 }
 
 } // namespace test

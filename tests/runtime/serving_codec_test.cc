@@ -5,8 +5,9 @@
  * resume must all be invisible to the generated tokens for every
  * registered packed codec, not just the paper's elem_em pair. Each
  * request's output is held bit-for-bit to a single-sequence
- * DecodeSession run configured with the same codec (whose own parity
- * against the one-shot forward is codec-independent linear algebra).
+ * KV-cached greedy run configured with the same codec (whose own
+ * parity against the one-shot forward is codec-independent linear
+ * algebra).
  *
  * This is the serving-layer leg of the cross-format differential
  * suite: the scheduler machinery exercised by serving_test.cc, but
@@ -20,69 +21,15 @@
 #include <vector>
 
 #include "core/packed_codec.hh"
-#include "runtime/decode_session.hh"
 #include "runtime/serving.hh"
 #include "runtime_test_util.hh"
-#include "util/rng.hh"
 
 namespace m2x {
 namespace runtime {
 namespace {
 
-model::ModelConfig
-tinyConfig()
-{
-    model::ModelConfig cfg;
-    cfg.name = "test-tiny";
-    cfg.dModel = 64;
-    cfg.nHeads = 2;
-    cfg.nLayers = 2;
-    cfg.dFf = 96;
-    cfg.vocab = 64;
-    cfg.seed = 7;
-    return cfg;
-}
-
-std::vector<int>
-randomTokens(size_t n, unsigned vocab, uint64_t seed)
-{
-    std::vector<int> toks(n);
-    Rng rng(seed);
-    for (auto &t : toks)
-        t = static_cast<int>(rng.uniformInt(vocab));
-    return toks;
-}
-
-int
-argmaxRow(const Matrix &logits, size_t row)
-{
-    size_t best = 0;
-    for (size_t c = 1; c < logits.cols(); ++c)
-        if (logits(row, c) > logits(row, best))
-            best = c;
-    return static_cast<int>(best);
-}
-
-/** Greedy single-sequence oracle running the same codec. */
-std::vector<int>
-greedyReference(const model::ModelConfig &mc, SimdIsa isa,
-                PackedCodec codec, const std::vector<int> &prompt,
-                size_t max_new)
-{
-    DecodeSession s(mc, {.isa = isa,
-                         .kvMode = KvCacheMode::Packed,
-                         .codec = codec});
-    size_t seq = s.addSequence();
-    Matrix logits = s.prefill(seq, prompt);
-    std::vector<int> out;
-    out.push_back(argmaxRow(logits, logits.rows() - 1));
-    while (out.size() < max_new) {
-        int next = out.back();
-        Matrix l = s.decode({&next, 1});
-        out.push_back(argmaxRow(l, 0));
-    }
-    return out;
-}
+using test::randomTokens;
+using test::tinyConfig;
 
 struct Workload
 {
@@ -105,9 +52,9 @@ class ServingCodec : public testing::TestWithParam<PackedCodec>
             const RequestStats &st = eng.stats(i);
             EXPECT_EQ(st.state, RequestState::Finished);
             EXPECT_EQ(st.generated, work[i].maxNew);
-            std::vector<int> want =
-                greedyReference(mc, isa, codec(), work[i].prompt,
-                                work[i].maxNew);
+            std::vector<int> want = test::greedyReference(
+                mc, KvCacheMode::Packed, isa, codec(),
+                work[i].prompt, work[i].maxNew);
             EXPECT_EQ(eng.generated(i), want);
         }
     }

@@ -4,10 +4,13 @@
  * not change what any request generates — scheduler interleaving,
  * admission stalls, preemption and byte-exact re-prefill are all
  * invisible to the tokens, so every request's output equals a
- * single-sequence DecodeSession run bit-for-bit (both KV modes, every
- * compiled ISA tier). Also covers: admission stalling at arena
- * exhaustion, forced preemption with recovered outputs, and free-list
- * reuse keeping the arena flat across request churn.
+ * single-sequence KV-cached greedy run bit-for-bit (both KV modes,
+ * every compiled ISA tier; the single-sequence path's own parity
+ * against the one-shot forward is covered by cache_attend_test).
+ * Also covers: the fixed-batch shape the benches time, admission
+ * stalling at arena exhaustion, forced preemption with recovered
+ * outputs, and free-list reuse keeping the arena flat across request
+ * churn.
  */
 
 #include <gtest/gtest.h>
@@ -15,71 +18,16 @@
 #include <string>
 #include <vector>
 
-#include "runtime/decode_session.hh"
 #include "runtime/serving.hh"
+#include "runtime/telemetry.hh"
 #include "runtime_test_util.hh"
-#include "util/rng.hh"
 
 namespace m2x {
 namespace runtime {
 namespace {
 
-model::ModelConfig
-tinyConfig()
-{
-    model::ModelConfig cfg;
-    cfg.name = "test-tiny";
-    cfg.dModel = 64;
-    cfg.nHeads = 2;
-    cfg.nLayers = 2;
-    cfg.dFf = 96;
-    cfg.vocab = 64;
-    cfg.seed = 7;
-    return cfg;
-}
-
-std::vector<int>
-randomTokens(size_t n, unsigned vocab, uint64_t seed)
-{
-    std::vector<int> toks(n);
-    Rng rng(seed);
-    for (auto &t : toks)
-        t = static_cast<int>(rng.uniformInt(vocab));
-    return toks;
-}
-
-int
-argmaxRow(const Matrix &logits, size_t row)
-{
-    size_t best = 0;
-    for (size_t c = 1; c < logits.cols(); ++c)
-        if (logits(row, c) > logits(row, best))
-            best = c;
-    return static_cast<int>(best);
-}
-
-/**
- * The parity oracle: the same greedy generation run alone through a
- * fixed-batch DecodeSession (whose own parity against the one-shot
- * forward is covered by decode_session_test).
- */
-std::vector<int>
-greedyReference(const model::ModelConfig &mc, KvCacheMode mode,
-                SimdIsa isa, const std::vector<int> &prompt,
-                size_t max_new)
-{
-    DecodeSession s(mc, {.isa = isa, .kvMode = mode});
-    size_t seq = s.addSequence();
-    Matrix logits = s.prefill(seq, prompt);
-    std::vector<int> out;
-    out.push_back(argmaxRow(logits, logits.rows() - 1));
-    while (out.size() < max_new) {
-        int next = out.back();
-        Matrix l = s.decode({&next, 1});
-        out.push_back(argmaxRow(l, 0));
-    }
-    return out;
-}
+using test::randomTokens;
+using test::tinyConfig;
 
 struct Workload
 {
@@ -110,8 +58,9 @@ expectMatchesReference(ServingEngine &eng,
         EXPECT_EQ(st.state, RequestState::Finished);
         EXPECT_EQ(st.generated, work[i].maxNew);
         EXPECT_GT(st.ttftSeconds(), 0.0);
-        std::vector<int> want = greedyReference(
-            mc, mode, isa, work[i].prompt, work[i].maxNew);
+        std::vector<int> want = test::greedyReference(
+            mc, mode, isa, defaultPackedCodec(), work[i].prompt,
+            work[i].maxNew);
         EXPECT_EQ(eng.generated(i), want);
     }
 }
@@ -141,6 +90,59 @@ TEST(ServingEngine, MatchesSingleSequenceDecodeOnEveryTier)
             expectMatchesReference(eng, mc, work, mode, isa);
         }
     }
+}
+
+TEST(ServingEngine, FixedBatchStepsWholeBatchWithoutPreemption)
+{
+    // The fixed-batch shape: every request submitted before the
+    // first step() into an arena sized for the whole batch's final
+    // rows. Step 1 admits and prefills all of them (their first
+    // tokens) and every step after advances the whole batch by one
+    // token, so maxNew - 1 batched forwards finish the run.
+    model::ModelConfig mc = tinyConfig();
+    const size_t batch = 3, prompt = 7, max_new = 5, page_rows = 4;
+    std::vector<Workload> work;
+    for (uint64_t i = 0; i < batch; ++i)
+        work.push_back({randomTokens(prompt, mc.vocab, 61 + i),
+                        max_new});
+    // The last token is never fed back: prompt + maxNew - 1 rows.
+    size_t pages = batch * 2 * mc.nLayers *
+                   KvPageArena::pagesForRows(prompt + max_new - 1,
+                                             page_rows);
+    bool metrics_were_on = telemetry::metricsEnabled();
+    telemetry::setMetricsEnabled(true);
+    for (KvCacheMode mode :
+         {KvCacheMode::Fp32, KvCacheMode::Packed}) {
+        SCOPED_TRACE(kvCacheModeName(mode));
+        telemetry::MetricRegistry::global().reset();
+        SimdIsa isa = activeSimdIsa();
+        ServingEngine eng(mc, {.isa = isa,
+                               .kvMode = mode,
+                               .pageRows = page_rows,
+                               .arenaPages = pages,
+                               .admitFreeFraction = 0.0});
+        for (const Workload &w : work)
+            eng.submit(w.prompt, w.maxNew);
+        ASSERT_TRUE(eng.step());
+        EXPECT_EQ(eng.activeCount(), batch);
+        EXPECT_EQ(eng.waitingCount(), 0u);
+        eng.runToCompletion();
+        EXPECT_EQ(eng.stepCount(), max_new - 1);
+        EXPECT_EQ(eng.preemptionCount(), 0u);
+        EXPECT_GT(eng.attendSeconds(), 0.0);
+        const telemetry::Histogram *h =
+            telemetry::MetricRegistry::global().findHistogram(
+                "serving.step_ns");
+        ASSERT_NE(h, nullptr);
+        EXPECT_EQ(h->count(), eng.stepCount());
+        const telemetry::Gauge *scratch =
+            telemetry::MetricRegistry::global().findGauge(
+                "decode.attend_scratch_bytes");
+        ASSERT_NE(scratch, nullptr);
+        EXPECT_GT(scratch->value(), 0.0);
+        expectMatchesReference(eng, mc, work, mode, isa);
+    }
+    telemetry::setMetricsEnabled(metrics_were_on);
 }
 
 TEST(ServingEngine, AdmissionStallsAtArenaExhaustion)
