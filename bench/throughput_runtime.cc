@@ -2,7 +2,8 @@
  * @file
  * Packed-domain runtime throughput: online activation packing
  * (functional codec vs the fast-path encoder, per ISA tier), packed
- * GEMM (per ISA kernel tier, the cache-blocked panel driver) and
+ * GEMM (per ISA kernel tier, the cache-blocked panel driver, plus
+ * decode-sized M = 1 and 4 rows at 1 thread) and
  * PackedLinear forward vs the reference quantized path — with the
  * quantize/GEMM wall-time split — at several shapes and thread
  * counts (1/2/4/8 capped at the hardware width), plus a
@@ -342,6 +343,17 @@ main(int argc, char **argv)
                                    {64, 192, 512},
                                    {128, 512, 512},
                                    {512, 512, 512}};
+    // The GEMM section adds decode-sized shapes (M = 1 and 4: one
+    // serving step's rows through a linear layer), timed at 1 thread
+    // only — there the W panel decode, not the FMA sweep, is most of
+    // the GEMM.
+    const size_t decode_sized_m = 4;
+    std::vector<Shape> gemm_shapes = shapes;
+    if (!quick)
+        gemm_shapes.insert(gemm_shapes.end(),
+                           {{1, 192, 192}, {4, 192, 192},
+                            {1, 512, 192}, {4, 512, 192},
+                            {1, 192, 512}, {4, 192, 512}});
     std::vector<unsigned> counts = threadCounts(quick);
     std::vector<SimdIsa> isas = supportedSimdIsas();
 
@@ -371,8 +383,8 @@ main(int argc, char **argv)
     ElemEmQuantizer aq = makeM2xfpActivationQuantizer();
     SgEmQuantizer wq = makeM2xfpWeightQuantizer();
 
-    for (size_t si = 0; si < shapes.size(); ++si) {
-        const Shape &sh = shapes[si];
+    for (size_t si = 0; si < gemm_shapes.size(); ++si) {
+        const Shape &sh = gemm_shapes[si];
         Matrix a = randomMatrix(sh.m, sh.k, 10 + si, 4.0);
         Matrix w = randomMatrix(sh.n, sh.k, 20 + si, 6.0);
         PackedM2xfpTensor pa =
@@ -426,6 +438,8 @@ main(int argc, char **argv)
         bool first_entry = true;
         for (SimdIsa isa : isas) {
             for (unsigned tc : counts) {
+                if (sh.m <= decode_sized_m && tc != 1)
+                    continue;
                 ThreadPool pool(tc);
                 double s = timeIt(
                     [&] { packedMatmulNt(pa, pw, &pool, isa); },
@@ -566,6 +580,8 @@ main(int argc, char **argv)
         bool first_entry = true;
         for (SimdIsa isa : isas) {
             for (unsigned tc : counts) {
+                if (sh.m <= decode_sized_m && tc != 1)
+                    continue;
                 ThreadPool pool(tc);
                 PackedM2xfpTensor buf;
                 double s = timeIt(

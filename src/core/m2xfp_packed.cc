@@ -73,12 +73,6 @@ PackedM2xfpTensor::subgroupMeta(size_t r, size_t group,
     return static_cast<uint8_t>((b >> (2 * sub)) & 0x3u);
 }
 
-uint8_t
-PackedM2xfpTensor::scaleCode(size_t r, size_t group) const
-{
-    return scales_[r * groupsPerRow_ + group];
-}
-
 double
 PackedM2xfpTensor::bitsPerElement() const
 {

@@ -233,14 +233,17 @@ class PackedM2xfpTensor
     /** Fetch the 2-bit metadata of (row, group, subgroup). */
     uint8_t subgroupMeta(size_t r, size_t group, size_t sub) const;
 
-    /** Fetch the E8M0 scale code of (row, group). */
-    uint8_t scaleCode(size_t r, size_t group) const;
-
     /** @{
      * Zero-copy group accessors for the packed-domain execution
-     * runtime (src/runtime): the 16 packed element bytes and the
-     * metadata byte of (row, group), straight from the streams.
+     * runtime (src/runtime): the scale code, the 16 packed element
+     * bytes and the metadata byte of (row, group), straight from the
+     * streams.
      */
+    uint8_t
+    scaleCode(size_t r, size_t group) const
+    {
+        return scales_[r * groupsPerRow_ + group];
+    }
     const uint8_t *
     groupElementBytes(size_t r, size_t group) const
     {

@@ -102,7 +102,8 @@ enum class DecodeFamily : uint8_t
     /** The per-ISA Elem-EM kernels (decodeActivationRow{,Avx2},
      *  the attend tiers' decodeRows). */
     ElemEm,
-    /** The per-ISA Sg-EM kernels (decodeWeightRow{,Avx2,Avx512}). */
+    /** The per-ISA Sg-EM kernels (decodeWeightRow{,Avx2,Avx512};
+     *  for GEMM weight panels decodeWeightSliver{Avx2,Avx512}). */
     SgEm,
 };
 

@@ -74,12 +74,14 @@ gemmKernels(SimdIsa isa)
     // slices stay L1-resident for the register-tile sweep.
     static const GemmKernels scalar{&decodeActivationRow,
                                     &decodeWeightRow,
+                                    &decodeWeightSliverScalar,
                                     &microKernelScalar,
                                     {16, 16, 64, 256, 64},
                                     /*accumulatePadding=*/false};
 #ifdef M2X_HAVE_AVX2
     static const GemmKernels avx2{&decodeActivationRowAvx2,
                                   &decodeWeightRowAvx2,
+                                  &decodeWeightSliverAvx2,
                                   &microKernelAvx2,
                                   {4, 8, 128, 256, 128},
                                   /*accumulatePadding=*/true};
@@ -89,6 +91,7 @@ gemmKernels(SimdIsa isa)
 #ifdef M2X_HAVE_AVX512
     static const GemmKernels avx512{&decodeActivationRowAvx2,
                                     &decodeWeightRowAvx512,
+                                    &decodeWeightSliverAvx512,
                                     &microKernelAvx512,
                                     {8, 16, 128, 256, 128},
                                     /*accumulatePadding=*/true};
@@ -115,6 +118,38 @@ rowDecoder(GroupDecodeKind kind, const PackedCodecInfo &info,
     return kind == GroupDecodeKind::SubgroupMult
                ? &codecDecodeWeightRow
                : &codecDecodeActivationRow;
+}
+
+DecodeSliverFn
+sliverDecoder(const PackedCodecInfo &info, SimdIsa isa)
+{
+    if (decodeFamily(GroupDecodeKind::SubgroupMult, info) ==
+        DecodeFamily::SgEm)
+        return gemmKernels(isa).decodeWeightSliver;
+    return &decodeWeightSliverScalar;
+}
+
+void
+decodeWeightSliverScalar(const PackedM2xfpTensor &w, size_t jbase,
+                         size_t jlim, size_t nr, double *sl)
+{
+    DecodeRowFn decode = rowDecoder(GroupDecodeKind::SubgroupMult,
+                                    w.codecInfo(), SimdIsa::Scalar);
+    size_t k = w.cols();
+    size_t padded_k = w.groupsPerRow() * w.codecInfo().groupSize;
+    thread_local std::vector<float> rowbuf_store;
+    rowbuf_store.resize(padded_k);
+    float *rowbuf = rowbuf_store.data();
+    for (size_t lane = 0; lane < jlim; ++lane) {
+        decode(w, jbase + lane, rowbuf);
+        for (size_t p = 0; p < k; ++p)
+            sl[p * nr + lane] = rowbuf[p];
+        for (size_t p = k; p < padded_k; ++p)
+            sl[p * nr + lane] = 0.0;
+    }
+    for (size_t lane = jlim; lane < nr; ++lane)
+        for (size_t p = 0; p < padded_k; ++p)
+            sl[p * nr + lane] = 0.0;
 }
 
 GemmBlocking
@@ -188,13 +223,14 @@ packedMatmulNtBlocked(const PackedM2xfpTensor &a,
 
     const detail::GemmKernels &kern = detail::gemmKernels(isa);
     // The codec seam: the microkernels are decode-agnostic, so only
-    // the two row decoders are format-sensitive — chosen by each
-    // operand's decode kind and geometry (decodeFamily).
+    // the A row decoder and the W sliver decoder are format-sensitive
+    // — chosen by each operand's decode kind and geometry
+    // (decodeFamily).
     const CodecTraits &tr = CodecTraits::get(a.codec());
     detail::DecodeRowFn decode_act =
         detail::rowDecoder(tr.actKind, *tr.info, isa);
-    detail::DecodeRowFn decode_wt = detail::rowDecoder(
-        GroupDecodeKind::SubgroupMult, *tr.info, isa);
+    detail::DecodeSliverFn decode_wt =
+        detail::sliverDecoder(*tr.info, isa);
     const size_t mr = blocking.mr, nr = blocking.nr;
     const size_t mc = blocking.mc, kc = blocking.kc;
     const size_t nc = blocking.nc;
@@ -252,26 +288,17 @@ packedMatmulNtBlocked(const PackedM2xfpTensor &a,
                 size_t n_slivers = ceilDiv(nc_cur, nr);
                 size_t acc_stride = n_slivers * nr;
                 if (cached_call != call_id || cached_jc != jc) {
-                    // Pack the W panel: nr-wide k-major slivers,
-                    // widened to double, ragged lanes and the depth
-                    // pad zero-filled so microkernels always see
-                    // full nr x group-aligned slabs.
+                    // Pack the W panel: one sliver decoder call per
+                    // nr-wide k-major sliver, widened to double,
+                    // ragged lanes and the depth pad zero-filled so
+                    // microkernels always see full nr x
+                    // group-aligned slabs.
                     panel_store.resize(n_slivers * sliver_stride);
                     double *panel = panel_store.data();
                     for (size_t sv = 0; sv < n_slivers; ++sv) {
-                        double *sl = panel + sv * sliver_stride;
                         size_t jbase = j0 + sv * nr;
-                        size_t jlim = std::min(nr, n - jbase);
-                        for (size_t lane = 0; lane < jlim; ++lane) {
-                            decode_wt(w, jbase + lane, rowbuf);
-                            for (size_t p = 0; p < k; ++p)
-                                sl[p * nr + lane] = rowbuf[p];
-                            for (size_t p = k; p < padded_k; ++p)
-                                sl[p * nr + lane] = 0.0;
-                        }
-                        for (size_t lane = jlim; lane < nr; ++lane)
-                            for (size_t p = 0; p < padded_k; ++p)
-                                sl[p * nr + lane] = 0.0;
+                        decode_wt(w, jbase, std::min(nr, n - jbase),
+                                  nr, panel + sv * sliver_stride);
                     }
                     cached_call = call_id;
                     cached_jc = jc;

@@ -11,7 +11,11 @@
  * bit-identical to runtime/decode_lut (asserted by
  * tests/runtime/simd_test.cc over all 256 byte values per stream).
  * The Elem-EM top-1 fix-up touches one element per subgroup and
- * stays scalar.
+ * stays scalar. The W panel's sliver decoder reuses the same
+ * magnitude permute on 8 rows at once: one masked vpgatherdd per
+ * (group, subgroup) loads each row's 32-bit element word, and every
+ * depth position becomes one 8-lane lookup, a per-lane scale
+ * multiply and two widened 4-double stores.
  *
  * Accumulate: the MR=4 x NR=8 register-tile microkernel broadcasts
  * one A double per row against two 4-wide W sliver vectors, 8
@@ -26,7 +30,9 @@
 
 #include <immintrin.h>
 
+#include <algorithm>
 #include <bit>
+#include <climits>
 
 #include "runtime/decode_lut.hh"
 #include "runtime/packed_gemm_kernels.hh"
@@ -48,7 +54,8 @@ constexpr unsigned nSubgroups = groupSize / subgroupSize;
 struct Avx2Tables
 {
     const DecodeTables *lut;
-    __m256 fp4Mag; //!< fp4Value[0..7]: the positive half
+    __m256 fp4Mag;   //!< fp4Value[0..7]: the positive half
+    __m256 sgEmMult; //!< lanes 0..3: the subgroup multipliers
 };
 
 const Avx2Tables &
@@ -65,7 +72,9 @@ tables()
                        (std::bit_cast<uint32_t>(lut.fp4Value[i]) ^
                         0x80000000u),
                        "FP4 value table is not sign-symmetric");
-        return Avx2Tables{&lut, _mm256_loadu_ps(lut.fp4Value)};
+        return Avx2Tables{
+            &lut, _mm256_loadu_ps(lut.fp4Value),
+            _mm256_castps128_ps256(_mm_loadu_ps(lut.sgEmMult))};
     }();
     return t;
 }
@@ -193,6 +202,116 @@ decodeWeightRowAvx2(const PackedM2xfpTensor &t, size_t row,
 }
 
 void
+decodeWeightSliverAvx2(const PackedM2xfpTensor &w, size_t jbase,
+                       size_t jlim, size_t nr, double *sl)
+{
+    m2x_assert(nr == 8 && jlim >= 1 && jlim <= 8,
+               "decodeWeightSliverAvx2: nr=%zu jlim=%zu", nr, jlim);
+    const Avx2Tables &tab = tables();
+    const size_t gpr = w.groupsPerRow();
+    const size_t row_bytes = gpr * bytesPerGroup;
+    m2x_assert(row_bytes * 7 <= INT_MAX,
+               "decodeWeightSliverAvx2: %zu-byte rows overflow the "
+               "gather offsets", row_bytes);
+    const __m256i lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+    const __m256i live = _mm256_cmpgt_epi32(
+        _mm256_set1_epi32(static_cast<int>(jlim)), lane);
+    const __m256i row_off = _mm256_mullo_epi32(
+        _mm256_set1_epi32(static_cast<int>(row_bytes)), lane);
+    const __m256i nibble = _mm256_set1_epi32(0xf);
+    const uint8_t *scales = w.scaleStream().data() + jbase * gpr;
+    const uint8_t *metas = w.metadataStream().data() + jbase * gpr;
+    const uint8_t *elems = w.groupElementBytes(jbase, 0);
+
+    for (size_t g = 0; g < gpr; ++g) {
+        // Per-lane shared scale and metadata byte; the pad lanes keep
+        // scale 0 and element code 0, so they decode to +0.0.
+        alignas(32) float sval[8] = {};
+        alignas(32) uint32_t meta[8] = {};
+        for (size_t l = 0; l < jlim; ++l) {
+            sval[l] = tab.lut->e8m0Value[scales[l * gpr + g]];
+            meta[l] = metas[l * gpr + g];
+        }
+        const __m256 sv = _mm256_load_ps(sval);
+        const __m256i md = _mm256_load_si256(
+            reinterpret_cast<const __m256i *>(meta));
+        double *out = sl + g * groupSize * 8;
+        for (unsigned s = 0; s < nSubgroups; ++s) {
+            // Same two multiplies in the same order as the scalar
+            // decode: value * (sval * mult).
+            __m256i mcode = _mm256_and_si256(
+                _mm256_srlv_epi32(md, _mm256_set1_epi32(2 * s)),
+                _mm256_set1_epi32(3));
+            __m256 scale = _mm256_mul_ps(
+                sv, _mm256_permutevar8x32_ps(tab.sgEmMult, mcode));
+            // The subgroup's 8 codes are one 32-bit word per row:
+            // element e sits at bits 4e.
+            __m256i word = _mm256_mask_i32gather_epi32(
+                _mm256_setzero_si256(),
+                reinterpret_cast<const int *>(
+                    elems + g * bytesPerGroup +
+                    s * (subgroupSize / 2)),
+                row_off, live, 1);
+            for (unsigned e = 0; e < subgroupSize; ++e) {
+                __m256 v = _mm256_mul_ps(
+                    decodeFp4x8(_mm256_and_si256(word, nibble),
+                                tab.fp4Mag),
+                    scale);
+                word = _mm256_srli_epi32(word, 4);
+                double *dst = out + (s * subgroupSize + e) * 8;
+                _mm256_storeu_pd(
+                    dst, _mm256_cvtps_pd(_mm256_castps256_ps128(v)));
+                _mm256_storeu_pd(
+                    dst + 4,
+                    _mm256_cvtps_pd(_mm256_extractf128_ps(v, 1)));
+            }
+        }
+    }
+    // Codes past the true depth never reach the panel.
+    std::fill(sl + w.cols() * 8, sl + gpr * groupSize * 8, 0.0);
+}
+
+namespace {
+
+/**
+ * The register tile for R rows: per depth step the sliver's two
+ * 4-wide W vectors feed 2R independent FMA chains, one pass over the
+ * sliver whatever R is. Every output is the same ascending-p FMA
+ * chain for any R, so a row's bits never depend on how many rows
+ * share its tile.
+ */
+template <size_t R>
+void
+tileAvx2(const double *a, size_t a_stride, const double *ws,
+         size_t p0, size_t p1, double *acc, size_t acc_stride)
+{
+    __m256d c_lo[R], c_hi[R];
+#pragma GCC unroll 4
+    for (size_t ii = 0; ii < R; ++ii) {
+        c_lo[ii] = _mm256_loadu_pd(acc + ii * acc_stride);
+        c_hi[ii] = _mm256_loadu_pd(acc + ii * acc_stride + 4);
+    }
+    for (size_t p = p0; p < p1; ++p) {
+        const double *wp = ws + p * 8;
+        __m256d wl = _mm256_loadu_pd(wp);
+        __m256d wh = _mm256_loadu_pd(wp + 4);
+#pragma GCC unroll 4
+        for (size_t ii = 0; ii < R; ++ii) {
+            __m256d av = _mm256_broadcast_sd(a + ii * a_stride + p);
+            c_lo[ii] = _mm256_fmadd_pd(av, wl, c_lo[ii]);
+            c_hi[ii] = _mm256_fmadd_pd(av, wh, c_hi[ii]);
+        }
+    }
+#pragma GCC unroll 4
+    for (size_t ii = 0; ii < R; ++ii) {
+        _mm256_storeu_pd(acc + ii * acc_stride, c_lo[ii]);
+        _mm256_storeu_pd(acc + ii * acc_stride + 4, c_hi[ii]);
+    }
+}
+
+} // anonymous namespace
+
+void
 microKernelAvx2(const double *a, size_t a_stride, const double *ws,
                 size_t nr, size_t p0, size_t p1, size_t mr_cur,
                 double *acc, size_t acc_stride)
@@ -204,65 +323,13 @@ microKernelAvx2(const double *a, size_t a_stride, const double *ws,
     // live in acc across KC slices; they are staged through
     // registers for the sweep and stored back at the end.
     m2x_assert(nr == 8, "microKernelAvx2 expects nr=8, got %zu", nr);
-    if (mr_cur == 4) {
-        double *r0 = acc;
-        double *r1 = acc + acc_stride;
-        double *r2 = acc + 2 * acc_stride;
-        double *r3 = acc + 3 * acc_stride;
-        __m256d c0l = _mm256_loadu_pd(r0);
-        __m256d c0h = _mm256_loadu_pd(r0 + 4);
-        __m256d c1l = _mm256_loadu_pd(r1);
-        __m256d c1h = _mm256_loadu_pd(r1 + 4);
-        __m256d c2l = _mm256_loadu_pd(r2);
-        __m256d c2h = _mm256_loadu_pd(r2 + 4);
-        __m256d c3l = _mm256_loadu_pd(r3);
-        __m256d c3h = _mm256_loadu_pd(r3 + 4);
-        const double *a0 = a;
-        const double *a1 = a + a_stride;
-        const double *a2 = a + 2 * a_stride;
-        const double *a3 = a + 3 * a_stride;
-        for (size_t p = p0; p < p1; ++p) {
-            const double *wp = ws + p * 8;
-            __m256d wl = _mm256_loadu_pd(wp);
-            __m256d wh = _mm256_loadu_pd(wp + 4);
-            __m256d av = _mm256_broadcast_sd(a0 + p);
-            c0l = _mm256_fmadd_pd(av, wl, c0l);
-            c0h = _mm256_fmadd_pd(av, wh, c0h);
-            av = _mm256_broadcast_sd(a1 + p);
-            c1l = _mm256_fmadd_pd(av, wl, c1l);
-            c1h = _mm256_fmadd_pd(av, wh, c1h);
-            av = _mm256_broadcast_sd(a2 + p);
-            c2l = _mm256_fmadd_pd(av, wl, c2l);
-            c2h = _mm256_fmadd_pd(av, wh, c2h);
-            av = _mm256_broadcast_sd(a3 + p);
-            c3l = _mm256_fmadd_pd(av, wl, c3l);
-            c3h = _mm256_fmadd_pd(av, wh, c3h);
-        }
-        _mm256_storeu_pd(r0, c0l);
-        _mm256_storeu_pd(r0 + 4, c0h);
-        _mm256_storeu_pd(r1, c1l);
-        _mm256_storeu_pd(r1 + 4, c1h);
-        _mm256_storeu_pd(r2, c2l);
-        _mm256_storeu_pd(r2 + 4, c2h);
-        _mm256_storeu_pd(r3, c3l);
-        _mm256_storeu_pd(r3 + 4, c3h);
-        return;
-    }
-    // Ragged edge (mr_cur < 4): per-row two-accumulator sweep.
-    for (size_t ii = 0; ii < mr_cur; ++ii) {
-        double *r = acc + ii * acc_stride;
-        const double *ar = a + ii * a_stride;
-        __m256d cl = _mm256_loadu_pd(r);
-        __m256d ch = _mm256_loadu_pd(r + 4);
-        for (size_t p = p0; p < p1; ++p) {
-            const double *wp = ws + p * 8;
-            __m256d av = _mm256_broadcast_sd(ar + p);
-            cl = _mm256_fmadd_pd(av, _mm256_loadu_pd(wp), cl);
-            ch = _mm256_fmadd_pd(av, _mm256_loadu_pd(wp + 4), ch);
-        }
-        _mm256_storeu_pd(r, cl);
-        _mm256_storeu_pd(r + 4, ch);
-    }
+    using TileFn = void (*)(const double *, size_t, const double *,
+                            size_t, size_t, double *, size_t);
+    static constexpr TileFn tiles[4] = {&tileAvx2<1>, &tileAvx2<2>,
+                                        &tileAvx2<3>, &tileAvx2<4>};
+    m2x_assert(mr_cur >= 1 && mr_cur <= 4,
+               "microKernelAvx2: mr_cur=%zu", mr_cur);
+    tiles[mr_cur - 1](a, a_stride, ws, p0, p1, acc, acc_stride);
 }
 
 } // namespace detail

@@ -12,15 +12,24 @@
  * second permutexvar, keeping the multiply order identical to the
  * scalar decode (value * (sval * mult)), so the decoded floats are
  * bit-identical to runtime/decode_lut (asserted by
- * tests/runtime/simd_test.cc). Activation-role row decode is shared
- * with the AVX2 tier: its Elem-EM top-1 fix-up is already
- * vectorized there and bit-identical, and re-deriving it per ISA
- * would only add surface for drift.
+ * tests/runtime/simd_test.cc). The W panel skips the row layout
+ * entirely: the sliver decoder gathers one subgroup's 32-bit element
+ * word from each of the 16 rows with one masked vpgatherdd, then per
+ * depth position shifts out the nibble, looks it up with the same
+ * vpermps, applies the per-lane subgroup scale and stores two
+ * widened 8-double vectors — the k-major sliver row, bit-identical
+ * to row decode plus transpose (tests/runtime/packed_gemm_test.cc).
+ * Activation-role row decode is shared with the AVX2 tier: its
+ * Elem-EM top-1 fix-up is already vectorized there and
+ * bit-identical, and re-deriving it per ISA would only add surface
+ * for drift.
  *
  * Accumulate: per depth step the k-major sliver contributes two
- * 8-wide W vectors and each of the 8 A rows one broadcast — 16
- * independent FMA chains across 19 live zmm registers, deep enough
- * to cover the FMA latency at two issues per cycle. Lane partials
+ * 8-wide W vectors and each of the (up to) 8 A rows one broadcast —
+ * 16 independent FMA chains across 19 live zmm registers for a full
+ * tile, deep enough to cover the FMA latency at two issues per
+ * cycle. A ragged tile (fewer rows, e.g. a decode step's batch) still
+ * sweeps the sliver once for all its rows. Lane partials
  * persist in the block accumulator across KC slices; the summation
  * order differs from the scalar oracle, so parity is
  * tolerance-checked, never assumed bit-exact.
@@ -31,6 +40,9 @@
  */
 
 #include <immintrin.h>
+
+#include <algorithm>
+#include <climits>
 
 #include "runtime/decode_lut.hh"
 #include "runtime/packed_gemm_kernels.hh"
@@ -43,12 +55,17 @@ namespace detail {
 namespace {
 
 constexpr size_t groupSize = PackedM2xfpTensor::groupSize;
+constexpr unsigned subgroupSize = PackedM2xfpTensor::subgroupSize;
+constexpr unsigned bytesPerGroup =
+    PackedM2xfpTensor::bytesPerGroupElems;
+constexpr unsigned nSubgroups = groupSize / subgroupSize;
 
 /** Scalar tables plus their vector-register forms. */
 struct Avx512Tables
 {
     const DecodeTables *lut;
     __m512 fp4Value;     //!< the full 16-entry FP4 table
+    __m512 sgEmMult;     //!< lanes 0..3: the subgroup multipliers
     __m512i sgIdxLo;     //!< lane -> subgroup index, elements 0..15
     __m512i sgIdxHi;     //!< same for elements 16..31
 };
@@ -60,6 +77,7 @@ tables()
         const DecodeTables &lut = DecodeTables::get();
         return Avx512Tables{
             &lut, _mm512_loadu_ps(lut.fp4Value),
+            _mm512_castps128_ps512(_mm_loadu_ps(lut.sgEmMult)),
             _mm512_set_epi32(1, 1, 1, 1, 1, 1, 1, 1, 0, 0, 0, 0, 0,
                              0, 0, 0),
             _mm512_set_epi32(3, 3, 3, 3, 3, 3, 3, 3, 2, 2, 2, 2, 2,
@@ -125,81 +143,130 @@ decodeWeightRowAvx512(const PackedM2xfpTensor &t, size_t row,
 }
 
 void
+decodeWeightSliverAvx512(const PackedM2xfpTensor &w, size_t jbase,
+                         size_t jlim, size_t nr, double *sl)
+{
+    m2x_assert(nr == 16 && jlim >= 1 && jlim <= 16,
+               "decodeWeightSliverAvx512: nr=%zu jlim=%zu", nr, jlim);
+    const Avx512Tables &tab = tables();
+    const size_t gpr = w.groupsPerRow();
+    const size_t row_bytes = gpr * bytesPerGroup;
+    m2x_assert(row_bytes * 15 <= INT_MAX,
+               "decodeWeightSliverAvx512: %zu-byte rows overflow the "
+               "gather offsets", row_bytes);
+    const __mmask16 live =
+        static_cast<__mmask16>((1u << jlim) - 1u);
+    const __m512i row_off = _mm512_mullo_epi32(
+        _mm512_set1_epi32(static_cast<int>(row_bytes)),
+        _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12,
+                          13, 14, 15));
+    const __m512i nibble = _mm512_set1_epi32(0xf);
+    const uint8_t *scales = w.scaleStream().data() + jbase * gpr;
+    const uint8_t *metas = w.metadataStream().data() + jbase * gpr;
+    const uint8_t *elems = w.groupElementBytes(jbase, 0);
+
+    for (size_t g = 0; g < gpr; ++g) {
+        // Per-lane shared scale and metadata byte; the pad lanes keep
+        // scale 0 and element code 0, so they decode to +0.0.
+        alignas(64) float sval[16] = {};
+        alignas(64) uint32_t meta[16] = {};
+        for (size_t l = 0; l < jlim; ++l) {
+            sval[l] = tab.lut->e8m0Value[scales[l * gpr + g]];
+            meta[l] = metas[l * gpr + g];
+        }
+        const __m512 sv = _mm512_load_ps(sval);
+        const __m512i md = _mm512_load_si512(meta);
+        double *out = sl + g * groupSize * 16;
+        for (unsigned s = 0; s < nSubgroups; ++s) {
+            // Same two multiplies in the same order as the scalar
+            // decode: value * (sval * mult).
+            __m512i mcode = _mm512_and_si512(
+                _mm512_srlv_epi32(md, _mm512_set1_epi32(2 * s)),
+                _mm512_set1_epi32(3));
+            __m512 scale = _mm512_mul_ps(
+                sv, _mm512_permutexvar_ps(mcode, tab.sgEmMult));
+            // The subgroup's 8 codes are one 32-bit word per row:
+            // element e sits at bits 4e.
+            __m512i word = _mm512_mask_i32gather_epi32(
+                _mm512_setzero_si512(), live, row_off,
+                elems + g * bytesPerGroup + s * (subgroupSize / 2), 1);
+            for (unsigned e = 0; e < subgroupSize; ++e) {
+                __m512 v = _mm512_mul_ps(
+                    _mm512_permutexvar_ps(
+                        _mm512_and_si512(word, nibble), tab.fp4Value),
+                    scale);
+                word = _mm512_srli_epi32(word, 4);
+                double *dst = out + (s * subgroupSize + e) * 16;
+                _mm512_storeu_pd(dst, _mm512_cvtps_pd(
+                                          _mm512_castps512_ps256(v)));
+                _mm512_storeu_pd(
+                    dst + 8,
+                    _mm512_cvtps_pd(_mm256_castpd_ps(
+                        _mm512_extractf64x4_pd(_mm512_castps_pd(v),
+                                               1))));
+            }
+        }
+    }
+    // Codes past the true depth never reach the panel.
+    std::fill(sl + w.cols() * 16, sl + gpr * groupSize * 16, 0.0);
+}
+
+namespace {
+
+/**
+ * The register tile for R rows: per depth step the sliver's two
+ * 8-wide W vectors feed 2R independent FMA chains, one pass over the
+ * sliver whatever R is. Every output is the same ascending-p FMA
+ * chain for any R, so a row's bits never depend on how many rows
+ * share its tile.
+ */
+template <size_t R>
+void
+tileAvx512(const double *a, size_t a_stride, const double *ws,
+           size_t p0, size_t p1, double *acc, size_t acc_stride)
+{
+    __m512d c_lo[R], c_hi[R];
+#pragma GCC unroll 8
+    for (size_t ii = 0; ii < R; ++ii) {
+        c_lo[ii] = _mm512_loadu_pd(acc + ii * acc_stride);
+        c_hi[ii] = _mm512_loadu_pd(acc + ii * acc_stride + 8);
+    }
+    for (size_t p = p0; p < p1; ++p) {
+        const double *wp = ws + p * 16;
+        __m512d wl = _mm512_loadu_pd(wp);
+        __m512d wh = _mm512_loadu_pd(wp + 8);
+#pragma GCC unroll 8
+        for (size_t ii = 0; ii < R; ++ii) {
+            __m512d av = _mm512_set1_pd(a[ii * a_stride + p]);
+            c_lo[ii] = _mm512_fmadd_pd(av, wl, c_lo[ii]);
+            c_hi[ii] = _mm512_fmadd_pd(av, wh, c_hi[ii]);
+        }
+    }
+#pragma GCC unroll 8
+    for (size_t ii = 0; ii < R; ++ii) {
+        _mm512_storeu_pd(acc + ii * acc_stride, c_lo[ii]);
+        _mm512_storeu_pd(acc + ii * acc_stride + 8, c_hi[ii]);
+    }
+}
+
+} // anonymous namespace
+
+void
 microKernelAvx512(const double *a, size_t a_stride, const double *ws,
                   size_t nr, size_t p0, size_t p1, size_t mr_cur,
                   double *acc, size_t acc_stride)
 {
     m2x_assert(nr == 16, "microKernelAvx512 expects nr=16, got %zu",
                nr);
-    if (mr_cur == 8) {
-        __m512d c_lo[8], c_hi[8];
-        for (size_t ii = 0; ii < 8; ++ii) {
-            const double *r = acc + ii * acc_stride;
-            c_lo[ii] = _mm512_loadu_pd(r);
-            c_hi[ii] = _mm512_loadu_pd(r + 8);
-        }
-        for (size_t p = p0; p < p1; ++p) {
-            const double *wp = ws + p * 16;
-            __m512d wl = _mm512_loadu_pd(wp);
-            __m512d wh = _mm512_loadu_pd(wp + 8);
-            // Fully unrolled 8-row broadcast sweep: the fixed trip
-            // count lets the compiler keep all 16 accumulators in
-            // registers.
-            c_lo[0] = _mm512_fmadd_pd(_mm512_set1_pd(a[p]), wl,
-                                      c_lo[0]);
-            c_hi[0] = _mm512_fmadd_pd(_mm512_set1_pd(a[p]), wh,
-                                      c_hi[0]);
-            c_lo[1] = _mm512_fmadd_pd(
-                _mm512_set1_pd(a[a_stride + p]), wl, c_lo[1]);
-            c_hi[1] = _mm512_fmadd_pd(
-                _mm512_set1_pd(a[a_stride + p]), wh, c_hi[1]);
-            c_lo[2] = _mm512_fmadd_pd(
-                _mm512_set1_pd(a[2 * a_stride + p]), wl, c_lo[2]);
-            c_hi[2] = _mm512_fmadd_pd(
-                _mm512_set1_pd(a[2 * a_stride + p]), wh, c_hi[2]);
-            c_lo[3] = _mm512_fmadd_pd(
-                _mm512_set1_pd(a[3 * a_stride + p]), wl, c_lo[3]);
-            c_hi[3] = _mm512_fmadd_pd(
-                _mm512_set1_pd(a[3 * a_stride + p]), wh, c_hi[3]);
-            c_lo[4] = _mm512_fmadd_pd(
-                _mm512_set1_pd(a[4 * a_stride + p]), wl, c_lo[4]);
-            c_hi[4] = _mm512_fmadd_pd(
-                _mm512_set1_pd(a[4 * a_stride + p]), wh, c_hi[4]);
-            c_lo[5] = _mm512_fmadd_pd(
-                _mm512_set1_pd(a[5 * a_stride + p]), wl, c_lo[5]);
-            c_hi[5] = _mm512_fmadd_pd(
-                _mm512_set1_pd(a[5 * a_stride + p]), wh, c_hi[5]);
-            c_lo[6] = _mm512_fmadd_pd(
-                _mm512_set1_pd(a[6 * a_stride + p]), wl, c_lo[6]);
-            c_hi[6] = _mm512_fmadd_pd(
-                _mm512_set1_pd(a[6 * a_stride + p]), wh, c_hi[6]);
-            c_lo[7] = _mm512_fmadd_pd(
-                _mm512_set1_pd(a[7 * a_stride + p]), wl, c_lo[7]);
-            c_hi[7] = _mm512_fmadd_pd(
-                _mm512_set1_pd(a[7 * a_stride + p]), wh, c_hi[7]);
-        }
-        for (size_t ii = 0; ii < 8; ++ii) {
-            double *r = acc + ii * acc_stride;
-            _mm512_storeu_pd(r, c_lo[ii]);
-            _mm512_storeu_pd(r + 8, c_hi[ii]);
-        }
-        return;
-    }
-    // Ragged edge (mr_cur < 8): per-row two-accumulator sweep.
-    for (size_t ii = 0; ii < mr_cur; ++ii) {
-        double *r = acc + ii * acc_stride;
-        const double *ar = a + ii * a_stride;
-        __m512d cl = _mm512_loadu_pd(r);
-        __m512d ch = _mm512_loadu_pd(r + 8);
-        for (size_t p = p0; p < p1; ++p) {
-            const double *wp = ws + p * 16;
-            __m512d av = _mm512_set1_pd(ar[p]);
-            cl = _mm512_fmadd_pd(av, _mm512_loadu_pd(wp), cl);
-            ch = _mm512_fmadd_pd(av, _mm512_loadu_pd(wp + 8), ch);
-        }
-        _mm512_storeu_pd(r, cl);
-        _mm512_storeu_pd(r + 8, ch);
-    }
+    using TileFn = void (*)(const double *, size_t, const double *,
+                            size_t, size_t, double *, size_t);
+    static constexpr TileFn tiles[8] = {
+        &tileAvx512<1>, &tileAvx512<2>, &tileAvx512<3>,
+        &tileAvx512<4>, &tileAvx512<5>, &tileAvx512<6>,
+        &tileAvx512<7>, &tileAvx512<8>};
+    m2x_assert(mr_cur >= 1 && mr_cur <= 8,
+               "microKernelAvx512: mr_cur=%zu", mr_cur);
+    tiles[mr_cur - 1](a, a_stride, ws, p0, p1, acc, acc_stride);
 }
 
 } // namespace detail

@@ -6,11 +6,18 @@
  * with an explicit block hierarchy chosen per ISA:
  *
  *   NC  columns of W form a *panel*: each panel's M2XFP groups are
- *       LUT-decoded exactly once per worker thread into an
- *       L2-resident buffer of NR-wide, k-major slivers (widened to
- *       double so the FMA kernels need no per-tile conversion), and
- *       that decoded panel is then reused across the full M
- *       dimension.
+ *       decoded exactly once per worker thread into an L2-resident
+ *       buffer of NR-wide, k-major slivers (widened to double so
+ *       the FMA kernels need no per-tile conversion), and that
+ *       decoded panel is then reused across the full M dimension.
+ *       The sliver decoder writes the k-major layout directly: on
+ *       the vector tiers one masked gather per (group, subgroup)
+ *       loads the subgroup's 32-bit element word from each of the
+ *       NR rows, so every depth position is a shift, a vpermps LUT
+ *       lookup, a per-lane scale multiply and two contiguous double
+ *       stores — no per-weight scalar transpose. At decode-sized M
+ *       the panel decode is most of the GEMM, so this is the cost
+ *       that sets single-sequence step time.
  *   MC  rows of A form a *block*, decoded once per (panel, block)
  *       task into a row-major double buffer.
  *   KC  slices the depth: the register-tile sweep walks K in KC
@@ -21,9 +28,10 @@
  *       KC slicing never splits a summation chain.
  *
  * packedMatmulNt owns the block grid, the thread distribution and
- * the per-thread panel cache; everything below — per-row LUT decode
- * into the panels and the register-tile accumulation — is an
- * ISA-specific kernel selected through gemmKernels(). The scalar
+ * the per-thread panel cache; everything below — the sliver decode
+ * of the W panels, the row decode of the A blocks and the
+ * register-tile accumulation — is an ISA-specific kernel selected
+ * through gemmKernels(). The scalar
  * tier accumulates each output in ascending-k order, excluding the
  * zero pad, and is bit-exact against matmulNt(unpack, unpack);
  * vector tiers may reassociate the sum and sweep the zero-padded
@@ -86,11 +94,29 @@ using MicroKernelFn = void (*)(const double *a, size_t a_stride,
 using DecodeRowFn = void (*)(const PackedM2xfpTensor &t, size_t row,
                              float *out);
 
+/**
+ * Decode the weight rows [jbase, jbase + jlim) of @p w straight into
+ * one k-major NR-wide sliver of the W panel:
+ *
+ *   sliver[p*nr + lane] = (double) W(jbase + lane, p)
+ *
+ * for lane < jlim (1 <= jlim <= nr) and p < w.cols(); the pad lanes
+ * (jlim <= lane < nr) and the depth pad (w.cols() <= p <
+ * groupsPerRow * groupSize) are +0.0. Every entry is bit-identical
+ * to the row decode followed by a float-to-double widening
+ * transpose (decodeWeightSliverScalar).
+ */
+using DecodeSliverFn = void (*)(const PackedM2xfpTensor &w,
+                                size_t jbase, size_t jlim, size_t nr,
+                                double *sliver);
+
 /** The per-ISA kernel set used by packedMatmulNt. */
 struct GemmKernels
 {
     DecodeRowFn decodeActivationRow;
     DecodeRowFn decodeWeightRow;
+    /** Sg-EM family weight panels (see sliverDecoder). */
+    DecodeSliverFn decodeWeightSliver;
     MicroKernelFn microKernel;
     GemmBlocking blocking;    //!< per-ISA default block hierarchy
     /** Vector tiers sweep the zero-padded K tail; the scalar oracle
@@ -111,6 +137,14 @@ const GemmKernels &gemmKernels(SimdIsa isa);
  */
 DecodeRowFn rowDecoder(GroupDecodeKind kind,
                        const PackedCodecInfo &info, SimdIsa isa);
+
+/**
+ * The W-panel sliver decoder for weights of geometry @p info on
+ * @p isa: the tier's vector Sg-EM sliver kernel where decodeFamily()
+ * names the Sg-EM family, else decodeWeightSliverScalar (the generic
+ * traits row decode plus transpose).
+ */
+DecodeSliverFn sliverDecoder(const PackedCodecInfo &info, SimdIsa isa);
 
 /**
  * The block hierarchy packedMatmulNt uses for @p isa: the kernel
@@ -156,7 +190,12 @@ GemmBlocking normalizeBlocking(SimdIsa isa, size_t mc, size_t kc,
 size_t packedGemmGrain(size_t n_ic, size_t n_jc, size_t lanes);
 
 /** @{ Scalar tier: ascending-k double accumulation, the bit-exact
- *  oracle. */
+ *  oracle. Its sliver decoder is the row decode of the weight
+ *  stream's scalar kernel (rowDecoder) plus a widening transpose —
+ *  the oracle of the vector sliver decoders and the fallback for
+ *  generic-family weights (M2-NVFP4) on every tier. */
+void decodeWeightSliverScalar(const PackedM2xfpTensor &w, size_t jbase,
+                              size_t jlim, size_t nr, double *sliver);
 void microKernelScalar(const double *a, size_t a_stride,
                        const double *ws, size_t nr, size_t p0,
                        size_t p1, size_t mr_cur, double *acc,
@@ -174,6 +213,9 @@ void decodeActivationRowAvx2(const PackedM2xfpTensor &t, size_t row,
                              float *out);
 void decodeWeightRowAvx2(const PackedM2xfpTensor &t, size_t row,
                          float *out);
+/** Sg-EM sliver decode for nr=8: one masked gather per subgroup. */
+void decodeWeightSliverAvx2(const PackedM2xfpTensor &w, size_t jbase,
+                            size_t jlim, size_t nr, double *sliver);
 
 /** @{
  * Vector group decodes, bit-identical to runtime/decode_lut —
@@ -197,6 +239,9 @@ void microKernelAvx512(const double *a, size_t a_stride,
                        size_t acc_stride);
 void decodeWeightRowAvx512(const PackedM2xfpTensor &t, size_t row,
                            float *out);
+/** Sg-EM sliver decode for nr=16: one masked gather per subgroup. */
+void decodeWeightSliverAvx512(const PackedM2xfpTensor &w, size_t jbase,
+                              size_t jlim, size_t nr, double *sliver);
 void decodeWeightGroupAvx512(const PackedM2xfpTensor &t, size_t row,
                              size_t group, float *out);
 /** @} */

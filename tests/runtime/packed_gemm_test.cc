@@ -6,10 +6,15 @@
  * boundary and degenerate shapes — on every available ISA tier: the
  * scalar tier must be bit-exact, vector tiers within the SIMD
  * tolerance contract. Also property-tests the tile-grid grain
- * heuristic.
+ * heuristic, the W-panel sliver decoders against the row decode
+ * they replace, and batch-independence of every output row.
  */
 
 #include <gtest/gtest.h>
+
+#include <cstring>
+#include <string>
+#include <vector>
 
 #include "core/m2xfp.hh"
 #include "gemm/gemm.hh"
@@ -303,6 +308,158 @@ TEST(PackedGemm, OutputParameterOverwrites)
     Matrix ref = matmulNt(pa.unpackActivations(aq),
                           pw.unpackWeights(wq));
     expectMatricesBitExact(c, ref);
+}
+
+/**
+ * The W panel as the GEMM packed it before the sliver decoders: each
+ * lane's row through the tier's row decoder, widened and transposed
+ * into the k-major sliver, pad lanes and the depth pad +0.0.
+ */
+std::vector<double>
+rowDecodeSliver(const PackedM2xfpTensor &w, size_t jbase, size_t jlim,
+                size_t nr, SimdIsa isa)
+{
+    size_t k = w.cols();
+    size_t padded_k = w.groupsPerRow() * w.codecInfo().groupSize;
+    detail::DecodeRowFn decode = detail::rowDecoder(
+        GroupDecodeKind::SubgroupMult, w.codecInfo(), isa);
+    std::vector<double> sl(padded_k * nr, 0.0);
+    std::vector<float> row(padded_k);
+    for (size_t lane = 0; lane < jlim; ++lane) {
+        decode(w, jbase + lane, row.data());
+        for (size_t p = 0; p < k; ++p)
+            sl[p * nr + lane] = row[p];
+    }
+    return sl;
+}
+
+TEST(PackedGemm, SliverDecodeMatchesRowDecodeOnEveryTier)
+{
+    // Raw streams exercise every byte the decoders can meet: all 256
+    // metadata bytes at every K, the scale codes 0, 127 and 255
+    // (E8M0: smallest, unit, NaN), whole groups of the -0 element
+    // code, and random element codes in the depth pad past K, which
+    // must never reach the panel.
+    const size_t n_rows = 40;
+    for (SimdIsa isa : supportedSimdIsas()) {
+        const detail::GemmKernels &kern = detail::gemmKernels(isa);
+        const size_t nr = kern.blocking.nr;
+        for (PackedCodec codec : allPackedCodecs()) {
+            const PackedCodecInfo &info = packedCodecInfo(codec);
+            detail::DecodeSliverFn decode =
+                detail::sliverDecoder(info, isa);
+            if (decodeFamily(GroupDecodeKind::SubgroupMult, info) ==
+                DecodeFamily::SgEm)
+                EXPECT_EQ(decode, kern.decodeWeightSliver);
+            else
+                EXPECT_EQ(decode, &detail::decodeWeightSliverScalar);
+            for (size_t k : {32, 40, 192, 200, 512}) {
+                SCOPED_TRACE(std::string(simdIsaName(isa)) + " " +
+                             packedCodecName(codec) +
+                             " k=" + std::to_string(k));
+                size_t gpr = ceilDiv(k, info.groupSize);
+                size_t n_groups = n_rows * gpr;
+                size_t rounds = ceilDiv(256, n_groups);
+                Rng rng(k * 131 + static_cast<size_t>(codec));
+                for (size_t round = 0; round < rounds; ++round) {
+                    std::vector<uint8_t> elems(
+                        n_groups * info.bytesPerGroupElems);
+                    std::vector<uint8_t> scales(n_groups);
+                    std::vector<uint8_t> meta(n_groups);
+                    for (auto &b : elems)
+                        b = static_cast<uint8_t>(rng.next());
+                    const uint8_t fixed_scales[] = {0, 127, 255};
+                    for (size_t gi = 0; gi < n_groups; ++gi) {
+                        meta[gi] = static_cast<uint8_t>(
+                            gi + round * n_groups);
+                        scales[gi] =
+                            gi % 4 < 3
+                                ? fixed_scales[gi % 4]
+                                : static_cast<uint8_t>(rng.next());
+                        if (gi % 5 == 0)
+                            std::fill_n(elems.begin() +
+                                            gi * info.bytesPerGroupElems,
+                                        info.bytesPerGroupElems, 0x88);
+                    }
+                    PackedM2xfpTensor w =
+                        PackedM2xfpTensor::fromRawStreams(
+                            n_rows, k, std::move(elems),
+                            std::move(scales), std::move(meta),
+                            codec);
+                    size_t padded_k = gpr * info.groupSize;
+                    for (size_t jlim = 1; jlim <= nr; ++jlim) {
+                        // The first rows, and a sliver ending at
+                        // the tensor's last row.
+                        for (size_t jbase : {size_t{0}, n_rows - jlim}) {
+                            std::vector<double> want = rowDecodeSliver(
+                                w, jbase, jlim, nr, isa);
+                            // A poisoned buffer: every entry must be
+                            // written.
+                            std::vector<double> got(padded_k * nr);
+                            std::memset(got.data(), 0xab,
+                                        got.size() * sizeof(double));
+                            decode(w, jbase, jlim, nr, got.data());
+                            ASSERT_EQ(std::memcmp(got.data(),
+                                                  want.data(),
+                                                  got.size() *
+                                                      sizeof(double)),
+                                      0)
+                                << "jbase=" << jbase
+                                << " jlim=" << jlim
+                                << " round=" << round;
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+TEST(PackedGemm, RowsAreIndependentOfBatchOnEveryTier)
+{
+    // Every output row of a batched product must carry the same bits
+    // as that row multiplied alone: the GEMM-level invariant behind
+    // batched == single-sequence serving. The batch runs on a
+    // 3-lane pool, each single row serially.
+    const size_t n = 40, k = 200;
+    ThreadPool pool(3);
+    ThreadPool serial(1);
+    for (PackedCodec codec : allPackedCodecs()) {
+        Matrix w = randomMatrix(n, k, 500, 6.0);
+        PackedM2xfpTensor pw =
+            PackedM2xfpTensor::packWeightsCodec(w, codec);
+        for (size_t m : {1, 3, 8, 17, 33}) {
+            Matrix a = randomMatrix(m, k, 600 + m, 4.0);
+            PackedM2xfpTensor pa =
+                PackedM2xfpTensor::packActivationsCodec(a, codec);
+            size_t gpr = pa.groupsPerRow();
+            size_t eb = gpr * pa.codecInfo().bytesPerGroupElems;
+            for (SimdIsa isa : supportedSimdIsas()) {
+                SCOPED_TRACE(std::string(simdIsaName(isa)) + " " +
+                             packedCodecName(codec) +
+                             " m=" + std::to_string(m));
+                Matrix batched = packedMatmulNt(pa, pw, &pool, isa);
+                for (size_t i = 0; i < m; ++i) {
+                    auto slice = [&](const std::vector<uint8_t> &s,
+                                     size_t len) {
+                        return std::vector<uint8_t>(
+                            s.begin() + i * len,
+                            s.begin() + (i + 1) * len);
+                    };
+                    PackedM2xfpTensor row =
+                        PackedM2xfpTensor::fromRawStreams(
+                            1, k, slice(pa.elementStream(), eb),
+                            slice(pa.scaleStream(), gpr),
+                            slice(pa.metadataStream(), gpr), codec);
+                    Matrix alone = packedMatmulNt(row, pw, &serial, isa);
+                    ASSERT_EQ(std::memcmp(&batched(i, 0), &alone(0, 0),
+                                          n * sizeof(float)),
+                              0)
+                        << "row " << i;
+                }
+            }
+        }
+    }
 }
 
 } // anonymous namespace

@@ -138,8 +138,9 @@ TEST(Histogram, BucketGeometry)
         uint64_t hi = Histogram::bucketHigh(i);
         EXPECT_LE(lo, v);
         EXPECT_GT(hi, v);
-        if (v >= 16)
+        if (v >= 16) {
             EXPECT_LE(hi - lo, lo / 16);
+        }
     }
     // The extremes stay in range.
     EXPECT_LT(Histogram::bucketIndex(UINT64_MAX),
