@@ -489,7 +489,7 @@ main(int argc, char **argv)
 
     // Per-block-size sweep: the blocked driver's MC/KC/NC space on
     // the best available tier at 1 thread — the data behind the
-    // default blocking choices (and the M2X_GEMM_MC/KC/NC knobs).
+    // per-ISA default blocking choices.
     std::fprintf(out, "\n  ],\n  \"gemm_block_sweep\": {");
     {
         Shape sw = quick ? Shape{16, 192, 192}

@@ -2,6 +2,7 @@
 
 #include <array>
 #include <cmath>
+#include <type_traits>
 
 #include "core/elem_em.hh"
 #include "formats/e8m0.hh"
@@ -61,7 +62,8 @@ buildTraits(PackedCodec codec)
 
     // Top1Replace: Elem-EM's FP6 promotion fp4_mag*4 + meta - 1,
     // including the & 0x1f wrap of the never-emitted mag=0/meta=0
-    // corner — the same guarded arithmetic as decode_lut.
+    // corner — the same guarded arithmetic as
+    // ElemEmQuantizer::decodeGroup.
     for (uint32_t c = 0; c < 16; ++c) {
         uint32_t mag4 = c & 0x7u;
         bool neg = (c >> 3) & 1u;
@@ -94,105 +96,118 @@ buildAllTraits()
  * FP4-domain top-1 of one subgroup: largest magnitude code, ties to
  * the lowest index — exactly ElemEmQuantizer::top1Index.
  */
+template <unsigned N>
 unsigned
-top1Of(const uint8_t *codes, unsigned n)
+top1Of(const uint8_t *codes)
 {
+    // Branch-free: random codes would mispredict a taken branch.
     unsigned best = 0;
     uint32_t best_mag = codes[0] & 0x7u;
-    for (unsigned i = 1; i < n; ++i) {
+    for (unsigned i = 1; i < N; ++i) {
         uint32_t m = codes[i] & 0x7u;
-        if (m > best_mag) {
-            best_mag = m;
-            best = i;
-        }
+        bool gt = m > best_mag;
+        best = gt ? i : best;
+        best_mag = gt ? m : best_mag;
     }
     return best;
 }
 
-/** Sg-EM-style decode: out = fp4 * (sval * subMult[meta_s]). */
+/**
+ * Decode one group whose metadata acts as @p Kind, for a codec of
+ * group size GS — a compile-time constant, so every loop unrolls.
+ * Every codec has four 2-bit metadata granules per group.
+ */
+template <GroupDecodeKind Kind, unsigned GS>
 void
-decodeGroupSubgroupMult(const CodecTraits &tr,
-                        const PackedM2xfpTensor &t, size_t row,
-                        size_t group, float *out)
+decodeGroup(const CodecTraits &tr, const PackedM2xfpTensor &t,
+            size_t row, size_t group, float *out)
 {
-    const PackedCodecInfo &info = *tr.info;
+    constexpr unsigned SG = GS / 4;
     const uint8_t *bytes = t.groupElementBytes(row, group);
     float sval = tr.scaleValue[t.scaleCode(row, group)];
     uint8_t meta = t.groupMetaByte(row, group);
 
-    unsigned n_sub = info.groupSize / info.subgroupSize;
-    float sub_scale[4];
-    for (unsigned s = 0; s < n_sub; ++s)
-        sub_scale[s] = sval * tr.subMult[(meta >> (2 * s)) & 0x3u];
-
-    unsigned bytes_per_sub = info.subgroupSize / 2;
-    for (unsigned i = 0; i < info.bytesPerGroupElems; ++i) {
-        uint8_t b = bytes[i];
-        float scale = sub_scale[i / bytes_per_sub];
-        Fp4Pair p = tr.fp4Pair[b];
-        out[2 * i] = p.lo * scale;
-        out[2 * i + 1] = p.hi * scale;
+    if constexpr (Kind == GroupDecodeKind::SubgroupMult) {
+        // out = fp4 * (sval * subMult[meta_s]).
+        float sub_scale[4];
+        for (unsigned s = 0; s < 4; ++s)
+            sub_scale[s] = sval * tr.subMult[(meta >> (2 * s)) & 0x3u];
+        for (unsigned i = 0; i < GS / 2; ++i) {
+            Fp4Pair p = tr.fp4Pair[bytes[i]];
+            out[2 * i] = p.lo * sub_scale[i / (SG / 2)];
+            out[2 * i + 1] = p.hi * sub_scale[i / (SG / 2)];
+        }
+    } else {
+        // out = fp4 * sval, then each subgroup's top-1 is replaced by
+        // top1Value (Elem-EM) or scaled by top1Mult (Elem-EE).
+        uint8_t codes[GS];
+        for (unsigned i = 0; i < GS / 2; ++i) {
+            uint8_t b = bytes[i];
+            codes[2 * i] = b & 0xfu;
+            codes[2 * i + 1] = b >> 4;
+            Fp4Pair p = tr.fp4Pair[b];
+            out[2 * i] = p.lo * sval;
+            out[2 * i + 1] = p.hi * sval;
+        }
+        for (unsigned s = 0; s < 4; ++s) {
+            const uint8_t *sc = codes + s * SG;
+            unsigned best = top1Of<SG>(sc);
+            uint8_t mcode = (meta >> (2 * s)) & 0x3u;
+            if constexpr (Kind == GroupDecodeKind::Top1Replace)
+                out[s * SG + best] = tr.top1Value[sc[best]][mcode] * sval;
+            else
+                out[s * SG + best] *= tr.top1Mult[mcode];
+        }
     }
 }
 
-/** Elem-EM-style decode: fp4 * sval, top-1 replaced via top1Value. */
+/**
+ * Groups [g0, g1) of rows [row0, row0 + n_rows), row r at out + r *
+ * stride, with the codec's group size dispatched once per call.
+ */
+template <GroupDecodeKind Kind>
 void
-decodeGroupTop1Replace(const CodecTraits &tr,
-                       const PackedM2xfpTensor &t, size_t row,
-                       size_t group, float *out)
+decodeGroups(const CodecTraits &tr, const PackedM2xfpTensor &t,
+             size_t row0, size_t n_rows, size_t g0, size_t g1,
+             size_t stride, float *out)
 {
-    const PackedCodecInfo &info = *tr.info;
-    const uint8_t *bytes = t.groupElementBytes(row, group);
-    float sval = tr.scaleValue[t.scaleCode(row, group)];
-    uint8_t meta = t.groupMetaByte(row, group);
-
-    uint8_t codes[PackedM2xfpTensor::groupSize];
-    for (unsigned i = 0; i < info.bytesPerGroupElems; ++i) {
-        uint8_t b = bytes[i];
-        codes[2 * i] = b & 0xfu;
-        codes[2 * i + 1] = b >> 4;
-        Fp4Pair p = tr.fp4Pair[b];
-        out[2 * i] = p.lo * sval;
-        out[2 * i + 1] = p.hi * sval;
-    }
-
-    unsigned n_sub = info.groupSize / info.subgroupSize;
-    for (unsigned s = 0; s < n_sub; ++s) {
-        const uint8_t *sc = codes + s * info.subgroupSize;
-        unsigned best = top1Of(sc, info.subgroupSize);
-        uint8_t mcode = (meta >> (2 * s)) & 0x3u;
-        out[s * info.subgroupSize + best] =
-            tr.top1Value[sc[best]][mcode] * sval;
-    }
+    auto run = [&](auto gs) {
+        constexpr unsigned GS = decltype(gs)::value;
+        for (size_t r = 0; r < n_rows; ++r)
+            for (size_t g = g0; g < g1; ++g)
+                decodeGroup<Kind, GS>(tr, t, row0 + r, g,
+                                      out + r * stride + (g - g0) * GS);
+    };
+    if (tr.info->groupSize == 16)
+        run(std::integral_constant<unsigned, 16>{});
+    else
+        run(std::integral_constant<unsigned, 32>{});
 }
 
-/** Elem-EE-style decode: fp4 * sval, top-1 scaled by top1Mult. */
+/** The span decode of @p t's codec in the weight or activation role:
+ *  one traits lookup and one kind and geometry dispatch per call. */
 void
-decodeGroupTop1Multiply(const CodecTraits &tr,
-                        const PackedM2xfpTensor &t, size_t row,
-                        size_t group, float *out)
+decodeSpan(const PackedM2xfpTensor &t, bool weight, size_t row0,
+           size_t n_rows, size_t g0, size_t g1, size_t stride,
+           float *out)
 {
-    const PackedCodecInfo &info = *tr.info;
-    const uint8_t *bytes = t.groupElementBytes(row, group);
-    float sval = tr.scaleValue[t.scaleCode(row, group)];
-    uint8_t meta = t.groupMetaByte(row, group);
-
-    uint8_t codes[PackedM2xfpTensor::groupSize];
-    for (unsigned i = 0; i < info.bytesPerGroupElems; ++i) {
-        uint8_t b = bytes[i];
-        codes[2 * i] = b & 0xfu;
-        codes[2 * i + 1] = b >> 4;
-        Fp4Pair p = tr.fp4Pair[b];
-        out[2 * i] = p.lo * sval;
-        out[2 * i + 1] = p.hi * sval;
-    }
-
-    unsigned n_sub = info.groupSize / info.subgroupSize;
-    for (unsigned s = 0; s < n_sub; ++s) {
-        const uint8_t *sc = codes + s * info.subgroupSize;
-        unsigned best = top1Of(sc, info.subgroupSize);
-        uint8_t mcode = (meta >> (2 * s)) & 0x3u;
-        out[s * info.subgroupSize + best] *= tr.top1Mult[mcode];
+    const CodecTraits &tr = CodecTraits::get(t.codec());
+    m2x_assert(tr.info->groupSize == 16 || tr.info->groupSize == 32,
+               "no generic decode for group size %u",
+               tr.info->groupSize);
+    switch (weight ? GroupDecodeKind::SubgroupMult : tr.actKind) {
+    case GroupDecodeKind::Top1Replace:
+        decodeGroups<GroupDecodeKind::Top1Replace>(tr, t, row0, n_rows,
+                                                   g0, g1, stride, out);
+        break;
+    case GroupDecodeKind::Top1Multiply:
+        decodeGroups<GroupDecodeKind::Top1Multiply>(
+            tr, t, row0, n_rows, g0, g1, stride, out);
+        break;
+    case GroupDecodeKind::SubgroupMult:
+        decodeGroups<GroupDecodeKind::SubgroupMult>(
+            tr, t, row0, n_rows, g0, g1, stride, out);
+        break;
     }
 }
 
@@ -232,52 +247,42 @@ void
 codecDecodeActivationGroup(const PackedM2xfpTensor &t, size_t row,
                            size_t group, float *out)
 {
-    const CodecTraits &tr = CodecTraits::get(t.codec());
-    switch (tr.actKind) {
-    case GroupDecodeKind::Top1Replace:
-        decodeGroupTop1Replace(tr, t, row, group, out);
-        break;
-    case GroupDecodeKind::Top1Multiply:
-        decodeGroupTop1Multiply(tr, t, row, group, out);
-        break;
-    case GroupDecodeKind::SubgroupMult:
-        decodeGroupSubgroupMult(tr, t, row, group, out);
-        break;
-    }
+    decodeSpan(t, false, row, 1, group, group + 1, 0, out);
 }
 
 void
 codecDecodeWeightGroup(const PackedM2xfpTensor &t, size_t row,
                        size_t group, float *out)
 {
-    const CodecTraits &tr = CodecTraits::get(t.codec());
-    decodeGroupSubgroupMult(tr, t, row, group, out);
-}
-
-void
-codecDecodeActivationRow(const PackedM2xfpTensor &t, size_t row,
-                         float *out)
-{
-    size_t gs = t.codecInfo().groupSize;
-    for (size_t g = 0; g < t.groupsPerRow(); ++g)
-        codecDecodeActivationGroup(t, row, g, out + g * gs);
-}
-
-void
-codecDecodeWeightRow(const PackedM2xfpTensor &t, size_t row,
-                     float *out)
-{
-    size_t gs = t.codecInfo().groupSize;
-    for (size_t g = 0; g < t.groupsPerRow(); ++g)
-        codecDecodeWeightGroup(t, row, g, out + g * gs);
+    decodeSpan(t, true, row, 1, group, group + 1, 0, out);
 }
 
 void
 codecDecodeRows(const PackedM2xfpTensor &t, size_t row0, size_t n_rows,
                 size_t stride, float *out)
 {
-    for (size_t r = 0; r < n_rows; ++r)
-        codecDecodeActivationRow(t, row0 + r, out + r * stride);
+    decodeSpan(t, false, row0, n_rows, 0, t.groupsPerRow(), stride, out);
+}
+
+void
+codecDecodeWeightRows(const PackedM2xfpTensor &t, size_t row0,
+                      size_t n_rows, size_t stride, float *out)
+{
+    decodeSpan(t, true, row0, n_rows, 0, t.groupsPerRow(), stride, out);
+}
+
+void
+codecDecodeActivationRow(const PackedM2xfpTensor &t, size_t row,
+                         float *out)
+{
+    codecDecodeRows(t, row, 1, 0, out);
+}
+
+void
+codecDecodeWeightRow(const PackedM2xfpTensor &t, size_t row,
+                     float *out)
+{
+    codecDecodeWeightRows(t, row, 1, 0, out);
 }
 
 } // namespace runtime

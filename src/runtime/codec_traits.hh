@@ -1,13 +1,19 @@
 /**
  * @file
- * The codec-traits seam of the packed execution runtime.
+ * The codec-traits seam of the packed execution runtime, and its only
+ * decode-table source.
  *
- * runtime/decode_lut hardwires the paper pair (Elem-EM activations,
- * Sg-EM weights). CodecTraits generalizes the same LUT family over
- * the PackedCodec axis: per codec, the tables capture
+ * The functional codecs (core/elem_em, core/sg_em, ...) decode with
+ * branchy float math and per-group vector allocations — fine for
+ * verification, far too slow for a compute engine. CodecTraits turns
+ * group dequantization into pure loads, per codec of the PackedCodec
+ * axis:
  *   - the stream geometry (group size, nibble bytes — via the
  *     codec's PackedCodecInfo),
- *   - the scale-byte rule (E8M0 exponent or NVFP4's FP8 E4M3),
+ *   - a 16-entry FP4 E2M1 value table and its 256-entry byte-pair
+ *     expansion (both nibbles of a packed element byte at once),
+ *   - the scale-byte rule (E8M0 exponent or NVFP4's FP8 E4M3) as a
+ *     256-entry value table,
  *   - the subgroup metadata semantics, classified by GroupDecodeKind:
  *     a top-1 value *replacement* (Elem-EM's FP6 re-round, shared by
  *     M2-NVFP4 activations), a top-1 value *multiplier* (Elem-EE's
@@ -17,16 +23,16 @@
  * Every table entry is produced by the same functions the functional
  * codecs call, so the generic kernels below are bit-identical to
  * PackedM2xfpTensor::unpackActivationsCodec / unpackWeightsCodec —
- * asserted by tests/runtime/codec_traits_test.cc. For
- * PackedCodec::ElemEm they are additionally bit-identical to the
- * legacy decode_lut / per-ISA kernels, which keeps the paper-pair
- * fast paths byte-for-byte intact.
+ * asserted by tests/runtime/codec_traits_test.cc. They are also the
+ * scalar tier of the GEMM and attend decode; the vector tiers
+ * (runtime/packed_gemm_kernels.hh) stage the same tables into
+ * registers and are held bit-identical to them.
  *
  * The generic kernels are deliberately signature-compatible with the
- * GEMM's DecodeRowFn and the attend's DecodeRowsFn: the drivers pick
- * a per-ISA kernel wherever decodeFamily() names one and fall back
- * to these for every other stream, so adding a format never touches
- * a kernel table.
+ * drivers' row-decoder type (detail::DecodeRowsFn): one selector
+ * (detail::rowsDecoder) picks a per-ISA kernel wherever
+ * decodeFamily() names one and falls back to these for every other
+ * stream, so adding a format never touches a kernel table.
  */
 
 #ifndef M2X_RUNTIME_CODEC_TRAITS_HH__
@@ -35,10 +41,16 @@
 #include <cstdint>
 
 #include "core/m2xfp_packed.hh"
-#include "runtime/decode_lut.hh"
 
 namespace m2x {
 namespace runtime {
+
+/** Two decoded FP4 values of one packed element byte. */
+struct Fp4Pair
+{
+    float lo; //!< low nibble (even element)
+    float hi; //!< high nibble (odd element)
+};
 
 /** How a codec's 2-bit subgroup metadata acts during decode. */
 enum class GroupDecodeKind : uint8_t
@@ -99,11 +111,11 @@ enum class DecodeFamily : uint8_t
 {
     /** The generic scalar traits kernels below. */
     Generic,
-    /** The per-ISA Elem-EM kernels (decodeActivationRow{,Avx2},
-     *  the attend tiers' decodeRows). */
+    /** The tier's Elem-EM rows kernel
+     *  (GemmKernels::decodeActivationRows). */
     ElemEm,
-    /** The per-ISA Sg-EM kernels (decodeWeightRow{,Avx2,Avx512};
-     *  for GEMM weight panels decodeWeightSliver{Avx2,Avx512}). */
+    /** The tier's Sg-EM rows kernel (GemmKernels::decodeWeightRows;
+     *  for GEMM weight panels its sliver form). */
     SgEm,
 };
 
@@ -115,21 +127,22 @@ enum class DecodeFamily : uint8_t
  * covers every E8M0 weight and the sg_em activations and KV pages;
  * Top1Replace: the Elem-EM kernels); every other stream (Elem-EE's
  * top-1 multiplier, M2-NVFP4's g16 FP8-scaled geometry) through the
- * generic kernels. On those geometries the per-ISA kernels read the
- * same values as the traits tables (decode_lut's FP4, E8M0,
- * multiplier and FP6 tables equal the E8M0 codecs' CodecTraits), so
- * the choice never changes a decoded float.
+ * generic kernels. The per-ISA kernels stage the E8M0 codecs'
+ * CodecTraits tables, which are identical for every E8M0 codec, so
+ * the choice never changes a decoded float. detail::rowsDecoder is
+ * the one place that applies the rule.
  */
 DecodeFamily decodeFamily(GroupDecodeKind kind,
                           const PackedCodecInfo &info);
 
 /** @{
- * Codec-generic scalar decode kernels, dispatching on t.codec().
- * Signature-compatible with the GEMM's DecodeRowFn
- * (codecDecodeActivationRow / codecDecodeWeightRow) and the attend's
- * DecodeRowsFn (codecDecodeRows); row buffers are group-padded
- * exactly like the Elem-EM kernels (groupsPerRow * groupSize floats,
- * padding elements decode to +0.0 for every codec).
+ * Codec-generic scalar decode kernels, dispatching on t.codec() — the
+ * scalar tier of every decode. Row buffers are group-padded
+ * (groupsPerRow * groupSize floats; padding elements decode to +0.0
+ * for every codec). The rows forms decode rows [row0, row0 + n_rows)
+ * to out + r * stride (stride >= the padded row) with one traits
+ * lookup per call: codecDecodeRows in the activation role,
+ * codecDecodeWeightRows in the weight role.
  */
 void codecDecodeActivationGroup(const PackedM2xfpTensor &t, size_t row,
                                 size_t group, float *out);
@@ -141,6 +154,8 @@ void codecDecodeWeightRow(const PackedM2xfpTensor &t, size_t row,
                           float *out);
 void codecDecodeRows(const PackedM2xfpTensor &t, size_t row0,
                      size_t n_rows, size_t stride, float *out);
+void codecDecodeWeightRows(const PackedM2xfpTensor &t, size_t row0,
+                           size_t n_rows, size_t stride, float *out);
 /** @} */
 
 } // namespace runtime

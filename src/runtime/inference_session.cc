@@ -108,14 +108,7 @@ packedLinearFactory(M2xfpConfig cfg, ThreadPool *pool,
             return packed;
         auto s = std::make_shared<LayerStats>();
         s->name = name;
-        // When the encode stage runs a demoted tier (encodeSimdIsa),
-        // surface it: "avx512+avx2enc" means AVX-512 GEMM fed by the
-        // AVX2 activation encoder.
-        SimdIsa gemm_isa = packed->simdIsa();
-        SimdIsa enc_isa = encodeSimdIsa(gemm_isa);
-        s->isa = simdIsaName(gemm_isa);
-        if (enc_isa != gemm_isa)
-            s->isa += std::string("+") + simdIsaName(enc_isa) + "enc";
+        s->isa = simdIsaName(packed->simdIsa());
         s->inFeatures = packed->inFeatures();
         s->outFeatures = packed->outFeatures();
         s->packedBytes = packed->residentBytes();

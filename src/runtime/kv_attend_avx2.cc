@@ -24,7 +24,6 @@
 #include <limits>
 
 #include "runtime/kv_attend_kernels.hh"
-#include "runtime/packed_gemm_kernels.hh"
 
 namespace m2x {
 namespace runtime {
@@ -88,16 +87,6 @@ expPs(__m256 x)
 }
 
 } // anonymous namespace
-
-void
-decodeRowsAvx2(const PackedM2xfpTensor &t, size_t row0,
-               size_t n_rows, size_t stride, float *out)
-{
-    // The AVX2 GEMM row decode is already the tier's best scheme;
-    // the page form just amortizes the call per page.
-    for (size_t r = 0; r < n_rows; ++r)
-        decodeActivationRowAvx2(t, row0 + r, out + r * stride);
-}
 
 void
 scorePageAvx2(const float *q, const float *rows, size_t stride,

@@ -13,20 +13,6 @@
  * to double — inside the packed 1e-5 contract, never used by the
  * bit-exact fp32 path.
  *
- * The page decode (decodeRowsAvx512) is this tier's own scheme
- * rather than a loop over the shared AVX2 row decode: one 32-element
- * group becomes two 16-lane halves, each decoded with a single
- * 16-entry FP4 table permute (vpermps), and the Elem-EM top-1
- * fix-up — a horizontal argmax per 8-lane subgroup in the AVX2
- * scheme — becomes a branchless in-register segmented max over key
- * vectors plus a 64-entry two-table permute (vpermt2ps) of the
- * metadata-adjusted values, blended into the winner lanes before
- * the shared scale multiply. Two groups are interleaved per
- * iteration to cover the shuffle-port latency. Every lane's value
- * is the exact same table entry times the exact same scale as the
- * scalar LUT decode, so the result stays bit-identical (asserted by
- * the flash kernel parity tests).
- *
  * This translation unit is compiled with -mavx2 -mfma -mavx512f
  * -mavx512bw and must only be entered through the runtime dispatch
  * (simdIsaAvailable guards).
@@ -36,7 +22,6 @@
 #include <immintrin.h>
 #include <limits>
 
-#include "runtime/decode_lut.hh"
 #include "runtime/kv_attend_kernels.hh"
 
 namespace m2x {
@@ -50,75 +35,6 @@ inline __m512d
 loadPs8(const float *p)
 {
     return _mm512_cvtps_pd(_mm256_loadu_ps(p));
-}
-
-/** Decode tables staged into 16-lane register form. */
-struct Avx512Tables
-{
-    const DecodeTables *lut;
-    __m512 fp4;  //!< fp4Value[0..15]
-    /** elemEmValue flattened to [code*4 + meta], 64 entries. */
-    __m512 em0, em1, em2, em3;
-};
-
-const Avx512Tables &
-tables512()
-{
-    static const Avx512Tables t = [] {
-        const DecodeTables &lut = DecodeTables::get();
-        alignas(64) float em[64];
-        for (unsigned c = 0; c < 16; ++c)
-            for (unsigned m = 0; m < 4; ++m)
-                em[c * 4 + m] = lut.elemEmValue[c][m];
-        return Avx512Tables{&lut, _mm512_loadu_ps(lut.fp4Value),
-                            _mm512_loadu_ps(em),
-                            _mm512_loadu_ps(em + 16),
-                            _mm512_loadu_ps(em + 32),
-                            _mm512_loadu_ps(em + 48)};
-    }();
-    return t;
-}
-
-/**
- * Decode 16 element codes (two 8-lane subgroups) to their unscaled
- * values: FP4 table permute everywhere, the Elem-EM-adjusted FP6
- * value blended into each subgroup's top-1 lane. @p shifts selects
- * the two subgroups' metadata bit positions within @p mb.
- */
-inline __m512
-decodeHalf512(const Avx512Tables &t, __m512i code, __m512i mb,
-              __m512i shifts)
-{
-    const __m512i lane_rev = _mm512_setr_epi32(
-        7, 6, 5, 4, 3, 2, 1, 0, 7, 6, 5, 4, 3, 2, 1, 0);
-    const __m512i swap4 = _mm512_setr_epi32(
-        4, 5, 6, 7, 0, 1, 2, 3, 12, 13, 14, 15, 8, 9, 10, 11);
-    __m512 fp4 = _mm512_permutexvar_ps(code, t.fp4);
-    // Subgroup argmax of (code & 7), ties to the lowest lane, as a
-    // segmented max over keys (mag << 3) | (7 - lane) — the same
-    // keys as the AVX2 scheme, reduced with three in-register
-    // swap+max steps instead of a horizontal extract.
-    __m512i mag = _mm512_and_si512(code, _mm512_set1_epi32(7));
-    __m512i key = _mm512_or_si512(_mm512_slli_epi32(mag, 3),
-                                  lane_rev);
-    __m512i mx = _mm512_max_epi32(
-        key, _mm512_shuffle_epi32(key, (_MM_PERM_ENUM)0xB1));
-    mx = _mm512_max_epi32(
-        mx, _mm512_shuffle_epi32(mx, (_MM_PERM_ENUM)0x4E));
-    mx = _mm512_max_epi32(mx, _mm512_permutexvar_epi32(swap4, mx));
-    __mmask16 win = _mm512_cmpeq_epi32_mask(key, mx);
-    // elemEmValue[code][meta] for every lane: 6-bit index into the
-    // 64-entry table, two 32-entry vpermt2ps halves blended on
-    // index bit 5.
-    __m512i mc = _mm512_and_si512(_mm512_srlv_epi32(mb, shifts),
-                                  _mm512_set1_epi32(3));
-    __m512i idx = _mm512_or_si512(_mm512_slli_epi32(code, 2), mc);
-    __m512 em_lo = _mm512_permutex2var_ps(t.em0, idx, t.em1);
-    __m512 em_hi = _mm512_permutex2var_ps(t.em2, idx, t.em3);
-    __mmask16 b5 =
-        _mm512_test_epi32_mask(idx, _mm512_set1_epi32(32));
-    __m512 em = _mm512_mask_blend_ps(b5, em_lo, em_hi);
-    return _mm512_mask_blend_ps(win, fp4, em);
 }
 
 /** 16-wide float exp — the same Cephes expf scheme as the AVX2
@@ -158,94 +74,6 @@ expPs16(__m512 x)
 }
 
 } // anonymous namespace
-
-void
-decodeRowsAvx512(const PackedM2xfpTensor &t, size_t row0,
-                 size_t n_rows, size_t stride, float *out)
-{
-    const Avx512Tables &tab = tables512();
-    // Metadata bit positions of subgroups (0,1) and (2,3).
-    const __m512i shifts_a = _mm512_setr_epi32(
-        0, 0, 0, 0, 0, 0, 0, 0, 2, 2, 2, 2, 2, 2, 2, 2);
-    const __m512i shifts_b = _mm512_setr_epi32(
-        4, 4, 4, 4, 4, 4, 4, 4, 6, 6, 6, 6, 6, 6, 6, 6);
-    const __m128i nib = _mm_set1_epi8(0x0f);
-    size_t gpr = t.groupsPerRow();
-    for (size_t r = 0; r < n_rows; ++r) {
-        float *o = out + r * stride;
-        const uint8_t *bytes = t.groupElementBytes(row0 + r, 0);
-        size_t g = 0;
-        // Two groups per iteration: four independent 16-lane decode
-        // chains keep the shuffle ports busy across the table
-        // permutes' latency.
-        for (; g + 2 <= gpr; g += 2) {
-            float s0 =
-                tab.lut->e8m0Value[t.scaleCode(row0 + r, g)];
-            float s1 =
-                tab.lut->e8m0Value[t.scaleCode(row0 + r, g + 1)];
-            __m512i mb0 =
-                _mm512_set1_epi32(t.groupMetaByte(row0 + r, g));
-            __m512i mb1 =
-                _mm512_set1_epi32(t.groupMetaByte(row0 + r, g + 1));
-            __m128i raw0 = _mm_loadu_si128(
-                reinterpret_cast<const __m128i *>(bytes + g * 16));
-            __m128i raw1 = _mm_loadu_si128(
-                reinterpret_cast<const __m128i *>(bytes + g * 16 +
-                                                  16));
-            __m128i lo0 = _mm_and_si128(raw0, nib);
-            __m128i hi0 =
-                _mm_and_si128(_mm_srli_epi16(raw0, 4), nib);
-            __m128i lo1 = _mm_and_si128(raw1, nib);
-            __m128i hi1 =
-                _mm_and_si128(_mm_srli_epi16(raw1, 4), nib);
-            __m512 v0 = decodeHalf512(
-                tab,
-                _mm512_cvtepu8_epi32(_mm_unpacklo_epi8(lo0, hi0)),
-                mb0, shifts_a);
-            __m512 v1 = decodeHalf512(
-                tab,
-                _mm512_cvtepu8_epi32(_mm_unpackhi_epi8(lo0, hi0)),
-                mb0, shifts_b);
-            __m512 v2 = decodeHalf512(
-                tab,
-                _mm512_cvtepu8_epi32(_mm_unpacklo_epi8(lo1, hi1)),
-                mb1, shifts_a);
-            __m512 v3 = decodeHalf512(
-                tab,
-                _mm512_cvtepu8_epi32(_mm_unpackhi_epi8(lo1, hi1)),
-                mb1, shifts_b);
-            __m512 sc0 = _mm512_set1_ps(s0);
-            __m512 sc1 = _mm512_set1_ps(s1);
-            _mm512_storeu_ps(o + g * 32, _mm512_mul_ps(v0, sc0));
-            _mm512_storeu_ps(o + g * 32 + 16,
-                             _mm512_mul_ps(v1, sc0));
-            _mm512_storeu_ps(o + g * 32 + 32,
-                             _mm512_mul_ps(v2, sc1));
-            _mm512_storeu_ps(o + g * 32 + 48,
-                             _mm512_mul_ps(v3, sc1));
-        }
-        for (; g < gpr; ++g) {
-            float sval =
-                tab.lut->e8m0Value[t.scaleCode(row0 + r, g)];
-            __m512i mb =
-                _mm512_set1_epi32(t.groupMetaByte(row0 + r, g));
-            __m128i raw = _mm_loadu_si128(
-                reinterpret_cast<const __m128i *>(bytes + g * 16));
-            __m128i lo = _mm_and_si128(raw, nib);
-            __m128i hi = _mm_and_si128(_mm_srli_epi16(raw, 4), nib);
-            __m512 v0 = decodeHalf512(
-                tab, _mm512_cvtepu8_epi32(_mm_unpacklo_epi8(lo, hi)),
-                mb, shifts_a);
-            __m512 v1 = decodeHalf512(
-                tab, _mm512_cvtepu8_epi32(_mm_unpackhi_epi8(lo, hi)),
-                mb, shifts_b);
-            __m512 sc = _mm512_set1_ps(sval);
-            _mm512_storeu_ps(o + g * 32, _mm512_mul_ps(v0, sc));
-            _mm512_storeu_ps(o + g * 32 + 16,
-                             _mm512_mul_ps(v1, sc));
-        }
-    }
-}
 
 void
 scorePageAvx512(const float *q, const float *rows, size_t stride,

@@ -19,18 +19,15 @@
  * the packed model tolerance (1e-5) but not bitwise — which is why
  * the fp32 bit-exact path never calls expWeights.
  *
- * The flash attend drives the three of them through page-granular
- * batch entry points — decodeRows / scorePage / accumPage — one
- * call per (query, page) instead of one per cached row, so the
- * per-row cost is pure kernel arithmetic: no indirect calls, no
- * head-major scatter/gather staging, and the value accumulator
- * stays register-resident across the page. decodeRows is the page
- * form of the packed GEMM's decodeActivationRow
- * (packed_gemm_kernels.hh) — same streams, bit-identical floats;
- * the AVX-512 tier decodes a whole 32-element group per pair of
- * 16-lane table permutes instead of the 8-wide AVX2 scheme, which
- * is what makes long-context attend decode-bound rather than
- * overhead-bound.
+ * The flash attend drives them through page-granular batch entry
+ * points — scorePage / accumPage — one call per (query, page)
+ * instead of one per cached row, so the per-row cost is pure kernel
+ * arithmetic: no indirect calls, no head-major scatter/gather
+ * staging, and the value accumulator stays register-resident across
+ * the page. The page decode that feeds them is not an attend
+ * primitive: it is the packed GEMM's rows decoder
+ * (detail::rowsDecoder, packed_gemm_kernels.hh), called once per K
+ * or V page — one decode kernel per stream and tier for both.
  *
  * Grouped-query attention threads through as @p group: query head h
  * reads K/V head h / group, so a K/V row carries n_heads / group
@@ -93,17 +90,6 @@ using ExpWeightsFn = void (*)(const double *s, double m, size_t n,
                               double *p);
 
 /**
- * Decode @p n_rows consecutive rows of one packed page into a dense
- * float slab: row local @p row0 + r lands at out + r * stride
- * (stride >= groupsPerRow * 32 — tail-group padding included, like
- * decodeActivationRow). Bit-identical to the scalar LUT decode on
- * every tier.
- */
-using DecodeRowsFn = void (*)(const PackedM2xfpTensor &t, size_t row0,
-                              size_t n_rows, size_t stride,
-                              float *out);
-
-/**
  * Score one query row against a decoded page slab: for every head,
  * scores[h * s_stride + r] = (q_h · rows_r,h) * inv_sqrt for r in
  * [0, n_rows), and smax[h] = max_r of that head's page scores. Dots
@@ -133,12 +119,8 @@ using AccumPageFn = void (*)(const double *w, size_t w_stride,
 struct AttendKernels
 {
     ExpWeightsFn expWeights;
-    DecodeRowsFn decodeRows; //!< Elem-EM pages
     ScorePageFn scorePage;
     AccumPageFn accumPage;
-    /** Sg-EM pages (subgroup-multiplier decode): the GEMM tier's
-     *  decodeWeightRow per row, bit-identical to the traits kernel. */
-    DecodeRowsFn decodeSgEmRows;
 };
 
 /**
@@ -150,8 +132,6 @@ const AttendKernels &attendKernels(SimdIsa isa);
 /** @{ Scalar tier: independent plain-C chains, libm double exp. */
 void expWeightsScalar(const double *s, double m, size_t n,
                       double *p);
-void decodeRowsScalar(const PackedM2xfpTensor &t, size_t row0,
-                      size_t n_rows, size_t stride, float *out);
 void scorePageScalar(const float *q, const float *rows,
                      size_t stride, size_t n_rows, size_t hd,
                      unsigned n_heads, unsigned group,
@@ -166,8 +146,6 @@ void accumPageScalar(const double *w, size_t w_stride,
 #ifdef M2X_HAVE_AVX2
 /** @{ AVX2+FMA tier: 4-wide double FMA chains, 8-wide float exp. */
 void expWeightsAvx2(const double *s, double m, size_t n, double *p);
-void decodeRowsAvx2(const PackedM2xfpTensor &t, size_t row0,
-                    size_t n_rows, size_t stride, float *out);
 void scorePageAvx2(const float *q, const float *rows, size_t stride,
                    size_t n_rows, size_t hd, unsigned n_heads,
                    unsigned group, double inv_sqrt, double *scores,
@@ -180,12 +158,9 @@ void accumPageAvx2(const double *w, size_t w_stride,
 #endif // M2X_HAVE_AVX2
 
 #ifdef M2X_HAVE_AVX512
-/** @{ AVX-512 tier: 8-wide double FMA chains, 16-wide float exp,
- * whole-group table-permute page decode. */
+/** @{ AVX-512 tier: 8-wide double FMA chains, 16-wide float exp. */
 void expWeightsAvx512(const double *s, double m, size_t n,
                       double *p);
-void decodeRowsAvx512(const PackedM2xfpTensor &t, size_t row0,
-                      size_t n_rows, size_t stride, float *out);
 void scorePageAvx512(const float *q, const float *rows,
                      size_t stride, size_t n_rows, size_t hd,
                      unsigned n_heads, unsigned group,

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "runtime/codec_traits.hh"
-#include "runtime/decode_lut.hh"
 #include "runtime/kv_attend_kernels.hh"
 #include "runtime/packed_gemm_kernels.hh"
 #include "runtime/telemetry.hh"
@@ -25,23 +24,6 @@ expWeightsScalar(const double *s, double m, size_t n, double *p)
 {
     for (size_t r = 0; r < n; ++r)
         p[r] = std::exp(s[r] - m);
-}
-
-/** A page decode as one row decode per row. */
-template <DecodeRowFn DecodeRow>
-void
-decodeRowsWith(const PackedM2xfpTensor &t, size_t row0, size_t n_rows,
-               size_t stride, float *out)
-{
-    for (size_t r = 0; r < n_rows; ++r)
-        DecodeRow(t, row0 + r, out + r * stride);
-}
-
-void
-decodeRowsScalar(const PackedM2xfpTensor &t, size_t row0,
-                 size_t n_rows, size_t stride, float *out)
-{
-    decodeRowsWith<&decodeActivationRow>(t, row0, n_rows, stride, out);
 }
 
 void
@@ -103,22 +85,16 @@ const AttendKernels &
 attendKernels(SimdIsa isa)
 {
     static const AttendKernels scalar{
-        &expWeightsScalar, &decodeRowsScalar, &scorePageScalar,
-        &accumPageScalar,
-        &decodeRowsWith<&decodeWeightRow>};
+        &expWeightsScalar, &scorePageScalar, &accumPageScalar};
 #ifdef M2X_HAVE_AVX2
     static const AttendKernels avx2{
-        &expWeightsAvx2, &decodeRowsAvx2, &scorePageAvx2,
-        &accumPageAvx2,
-        &decodeRowsWith<&decodeWeightRowAvx2>};
+        &expWeightsAvx2, &scorePageAvx2, &accumPageAvx2};
     if (isa == SimdIsa::Avx2)
         return avx2;
 #endif
 #ifdef M2X_HAVE_AVX512
     static const AttendKernels avx512{
-        &expWeightsAvx512, &decodeRowsAvx512, &scorePageAvx512,
-        &accumPageAvx512,
-        &decodeRowsWith<&decodeWeightRowAvx512>};
+        &expWeightsAvx512, &scorePageAvx512, &accumPageAvx512};
     if (isa == SimdIsa::Avx512)
         return avx512;
 #endif
@@ -496,22 +472,12 @@ KvCache::attendPacked(const Layer &l, const float *q, size_t n_rows,
                       packedCodecInfo(arena_->codec()).groupSize;
     const detail::AttendKernels &kern =
         detail::attendKernels(simdIsa());
-    // The codec seam: only the page decode is format-sensitive —
-    // the ISA tier's batch decode of the pages' decode family
-    // (decodeFamily), else the generic traits kernel;
+    // The codec seam: only the page decode is format-sensitive — the
+    // same rows decoder the GEMM runs on its A side;
     // scores/softmax/value accumulation are codec-agnostic.
     const CodecTraits &tr = CodecTraits::get(arena_->codec());
-    detail::DecodeRowsFn decode_rows = &codecDecodeRows;
-    switch (decodeFamily(tr.actKind, *tr.info)) {
-    case DecodeFamily::ElemEm:
-        decode_rows = kern.decodeRows;
-        break;
-    case DecodeFamily::SgEm:
-        decode_rows = kern.decodeSgEmRows;
-        break;
-    case DecodeFamily::Generic:
-        break;
-    }
+    detail::DecodeRowsFn decode_rows =
+        detail::rowsDecoder(tr.actKind, *tr.info, simdIsa());
     detail::PagedKvView kview{arena_, l.k.data()};
     detail::PagedKvView vview{arena_, l.v.data()};
     size_t n_blocks = ceilDiv(n_rows, attendBlock);

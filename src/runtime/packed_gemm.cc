@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
 #include <vector>
 
 #include "runtime/codec_traits.hh"
-#include "runtime/decode_lut.hh"
 #include "runtime/packed_gemm_kernels.hh"
 #include "runtime/telemetry.hh"
 #include "util/bits.hh"
@@ -26,40 +24,6 @@ constexpr size_t groupSize = PackedM2xfpTensor::groupSize;
  */
 std::atomic<uint64_t> call_counter{0};
 
-/**
- * One M2X_GEMM_{MC,KC,NC} value, parsed once per process. 0 = unset
- * (malformed values warn and count as unset).
- */
-size_t
-parseBlockEnv(const char *name)
-{
-    const char *env = std::getenv(name);
-    if (!env || !*env)
-        return 0;
-    char *end = nullptr;
-    unsigned long long v = std::strtoull(env, &end, 10);
-    if (*end != '\0' || v == 0) {
-        m2x_warn("ignoring malformed %s value '%s' (want a positive "
-                 "integer)", name, env);
-        return 0;
-    }
-    return static_cast<size_t>(v);
-}
-
-struct BlockEnv
-{
-    size_t mc, kc, nc; // 0 = use the ISA default
-};
-
-const BlockEnv &
-blockEnv()
-{
-    static const BlockEnv e{parseBlockEnv("M2X_GEMM_MC"),
-                            parseBlockEnv("M2X_GEMM_KC"),
-                            parseBlockEnv("M2X_GEMM_NC")};
-    return e;
-}
-
 } // anonymous namespace
 
 namespace detail {
@@ -72,15 +36,15 @@ gemmKernels(SimdIsa isa)
     // same depth, so the defaults keep panel + block + accumulator
     // inside a ~1 MiB L2 at the bench shapes while kc * nr sliver
     // slices stay L1-resident for the register-tile sweep.
-    static const GemmKernels scalar{&decodeActivationRow,
-                                    &decodeWeightRow,
+    static const GemmKernels scalar{&codecDecodeRows,
+                                    &codecDecodeWeightRows,
                                     &decodeWeightSliverScalar,
                                     &microKernelScalar,
                                     {16, 16, 64, 256, 64},
                                     /*accumulatePadding=*/false};
 #ifdef M2X_HAVE_AVX2
-    static const GemmKernels avx2{&decodeActivationRowAvx2,
-                                  &decodeWeightRowAvx2,
+    static const GemmKernels avx2{&decodeActivationRowsAvx2,
+                                  &decodeWeightRowsAvx2,
                                   &decodeWeightSliverAvx2,
                                   &microKernelAvx2,
                                   {4, 8, 128, 256, 128},
@@ -89,8 +53,8 @@ gemmKernels(SimdIsa isa)
         return avx2;
 #endif
 #ifdef M2X_HAVE_AVX512
-    static const GemmKernels avx512{&decodeActivationRowAvx2,
-                                    &decodeWeightRowAvx512,
+    static const GemmKernels avx512{&decodeActivationRowsAvx512,
+                                    &decodeWeightRowsAvx512,
                                     &decodeWeightSliverAvx512,
                                     &microKernelAvx512,
                                     {8, 16, 128, 256, 128},
@@ -102,30 +66,33 @@ gemmKernels(SimdIsa isa)
     return scalar;
 }
 
-DecodeRowFn
-rowDecoder(GroupDecodeKind kind, const PackedCodecInfo &info,
-           SimdIsa isa)
+DecodeRowsFn
+rowsDecoder(GroupDecodeKind kind, const PackedCodecInfo &info,
+            SimdIsa isa)
 {
     const GemmKernels &kern = gemmKernels(isa);
     switch (decodeFamily(kind, info)) {
     case DecodeFamily::ElemEm:
-        return kern.decodeActivationRow;
+        return kern.decodeActivationRows;
     case DecodeFamily::SgEm:
-        return kern.decodeWeightRow;
+        return kern.decodeWeightRows;
     case DecodeFamily::Generic:
         break;
     }
-    return kind == GroupDecodeKind::SubgroupMult
-               ? &codecDecodeWeightRow
-               : &codecDecodeActivationRow;
+    return kind == GroupDecodeKind::SubgroupMult ? &codecDecodeWeightRows
+                                                 : &codecDecodeRows;
 }
 
 DecodeSliverFn
 sliverDecoder(const PackedCodecInfo &info, SimdIsa isa)
 {
-    if (decodeFamily(GroupDecodeKind::SubgroupMult, info) ==
-        DecodeFamily::SgEm)
-        return gemmKernels(isa).decodeWeightSliver;
+    // The sliver kernel is the panel form of the tier's Sg-EM rows
+    // kernel, so it may decode exactly the streams rowsDecoder hands
+    // that kernel.
+    const GemmKernels &kern = gemmKernels(isa);
+    if (rowsDecoder(GroupDecodeKind::SubgroupMult, info, isa) ==
+        kern.decodeWeightRows)
+        return kern.decodeWeightSliver;
     return &decodeWeightSliverScalar;
 }
 
@@ -133,15 +100,13 @@ void
 decodeWeightSliverScalar(const PackedM2xfpTensor &w, size_t jbase,
                          size_t jlim, size_t nr, double *sl)
 {
-    DecodeRowFn decode = rowDecoder(GroupDecodeKind::SubgroupMult,
-                                    w.codecInfo(), SimdIsa::Scalar);
     size_t k = w.cols();
     size_t padded_k = w.groupsPerRow() * w.codecInfo().groupSize;
     thread_local std::vector<float> rowbuf_store;
     rowbuf_store.resize(padded_k);
     float *rowbuf = rowbuf_store.data();
     for (size_t lane = 0; lane < jlim; ++lane) {
-        decode(w, jbase + lane, rowbuf);
+        codecDecodeWeightRow(w, jbase + lane, rowbuf);
         for (size_t p = 0; p < k; ++p)
             sl[p * nr + lane] = rowbuf[p];
         for (size_t p = k; p < padded_k; ++p)
@@ -166,10 +131,7 @@ GemmBlocking
 gemmBlocking(SimdIsa isa)
 {
     const GemmBlocking &def = gemmKernels(isa).blocking;
-    const BlockEnv &env = blockEnv();
-    return normalizeBlocking(isa, env.mc ? env.mc : def.mc,
-                             env.kc ? env.kc : def.kc,
-                             env.nc ? env.nc : def.nc);
+    return normalizeBlocking(isa, def.mc, def.kc, def.nc);
 }
 
 size_t
@@ -224,11 +186,10 @@ packedMatmulNtBlocked(const PackedM2xfpTensor &a,
     const detail::GemmKernels &kern = detail::gemmKernels(isa);
     // The codec seam: the microkernels are decode-agnostic, so only
     // the A row decoder and the W sliver decoder are format-sensitive
-    // — chosen by each operand's decode kind and geometry
-    // (decodeFamily).
+    // — chosen by each operand's decode kind and geometry.
     const CodecTraits &tr = CodecTraits::get(a.codec());
-    detail::DecodeRowFn decode_act =
-        detail::rowDecoder(tr.actKind, *tr.info, isa);
+    detail::DecodeRowsFn decode_act =
+        detail::rowsDecoder(tr.actKind, *tr.info, isa);
     detail::DecodeSliverFn decode_wt =
         detail::sliverDecoder(*tr.info, isa);
     const size_t mr = blocking.mr, nr = blocking.nr;
@@ -312,7 +273,7 @@ packedMatmulNtBlocked(const PackedM2xfpTensor &a,
                 ablock_store.resize(mc_cur * padded_k);
                 double *ab = ablock_store.data();
                 for (size_t ii = 0; ii < mc_cur; ++ii) {
-                    decode_act(a, i0 + ii, rowbuf);
+                    decode_act(a, i0 + ii, 1, padded_k, rowbuf);
                     double *ar = ab + ii * padded_k;
                     for (size_t p = 0; p < k; ++p)
                         ar[p] = rowbuf[p];

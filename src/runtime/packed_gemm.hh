@@ -24,8 +24,8 @@
  * scalar tier bit-exact under blocking). No full dequantized matrix
  * is ever materialized. (jc, ic) block pairs are independent and are
  * distributed over a ThreadPool with panel-friendly chunking
- * (detail::packedGemmGrain). Block sizes default per ISA and can be
- * overridden with M2X_GEMM_MC / M2X_GEMM_KC / M2X_GEMM_NC.
+ * (detail::packedGemmGrain). Block sizes are fixed per ISA
+ * (detail::gemmBlocking).
  */
 
 #ifndef M2X_RUNTIME_PACKED_GEMM_HH__

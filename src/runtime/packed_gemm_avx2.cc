@@ -7,11 +7,12 @@
  * Decode: both nibbles of each packed element byte are split with
  * byte ops, widened to 32-bit lanes, and the 16-entry FP4 E2M1 table
  * collapses to an 8-entry magnitude permute (vpermps) plus a sign
- * XOR — exactly the scalar tables' values, so the decoded floats are
- * bit-identical to runtime/decode_lut (asserted by
+ * XOR — exactly the CodecTraits tables' values, so the decoded floats
+ * are bit-identical to the generic traits kernels (asserted by
  * tests/runtime/simd_test.cc over all 256 byte values per stream).
- * The Elem-EM top-1 fix-up touches one element per subgroup and
- * stays scalar. The W panel's sliver decoder reuses the same
+ * The Elem-EM top-1 argmax is a horizontal max per subgroup; the
+ * winner's FP6 value is one scalar table read. The W panel's sliver
+ * decoder reuses the same
  * magnitude permute on 8 rows at once: one masked vpgatherdd per
  * (group, subgroup) loads each row's 32-bit element word, and every
  * depth position becomes one 8-lane lookup, a per-lane scale
@@ -34,7 +35,7 @@
 #include <bit>
 #include <climits>
 
-#include "runtime/decode_lut.hh"
+#include "runtime/codec_traits.hh"
 #include "runtime/packed_gemm_kernels.hh"
 #include "util/logging.hh"
 
@@ -50,31 +51,35 @@ constexpr unsigned bytesPerGroup =
     PackedM2xfpTensor::bytesPerGroupElems;
 constexpr unsigned nSubgroups = groupSize / subgroupSize;
 
-/** Scalar tables plus their vector-register forms. */
+/**
+ * The E8M0 codecs' traits tables plus their vector-register forms.
+ * Every stream this tier decodes is an E8M0 g32/sg8 stream
+ * (decodeFamily), and those codecs share one set of tables.
+ */
 struct Avx2Tables
 {
-    const DecodeTables *lut;
+    const CodecTraits *tr;
     __m256 fp4Mag;   //!< fp4Value[0..7]: the positive half
-    __m256 sgEmMult; //!< lanes 0..3: the subgroup multipliers
+    __m256 subMult;  //!< lanes 0..3: the subgroup multipliers
 };
 
 const Avx2Tables &
 tables()
 {
     static const Avx2Tables t = [] {
-        const DecodeTables &lut = DecodeTables::get();
+        const CodecTraits &tr = CodecTraits::get(PackedCodec::ElemEm);
         // The vector decode reconstructs negative codes as
         // sign-bit XOR on the positive entry; that is only
         // bit-identical to the scalar table if the table itself is
         // sign-symmetric (it is, for FP4 E2M1 — including -0.0).
         for (unsigned i = 0; i < 8; ++i)
-            m2x_assert(std::bit_cast<uint32_t>(lut.fp4Value[8 + i]) ==
-                       (std::bit_cast<uint32_t>(lut.fp4Value[i]) ^
+            m2x_assert(std::bit_cast<uint32_t>(tr.fp4Value[8 + i]) ==
+                       (std::bit_cast<uint32_t>(tr.fp4Value[i]) ^
                         0x80000000u),
                        "FP4 value table is not sign-symmetric");
         return Avx2Tables{
-            &lut, _mm256_loadu_ps(lut.fp4Value),
-            _mm256_castps128_ps256(_mm_loadu_ps(lut.sgEmMult))};
+            &tr, _mm256_loadu_ps(tr.fp4Value),
+            _mm256_castps128_ps256(_mm_loadu_ps(tr.subMult))};
     }();
     return t;
 }
@@ -118,7 +123,7 @@ decodeWeightGroupAvx2(const PackedM2xfpTensor &t, size_t row,
                       size_t group, float *out)
 {
     const Avx2Tables &tab = tables();
-    float sval = tab.lut->e8m0Value[t.scaleCode(row, group)];
+    float sval = tab.tr->scaleValue[t.scaleCode(row, group)];
     uint8_t meta = t.groupMetaByte(row, group);
 
     __m128i chunk[4];
@@ -126,7 +131,7 @@ decodeWeightGroupAvx2(const PackedM2xfpTensor &t, size_t row,
     // One subgroup = one 8-lane vector; same two multiplies in the
     // same order as the scalar decode (value * (sval * mult)).
     for (unsigned s = 0; s < nSubgroups; ++s) {
-        float mult = tab.lut->sgEmMult[(meta >> (2 * s)) & 0x3u];
+        float mult = tab.tr->subMult[(meta >> (2 * s)) & 0x3u];
         __m256 scale = _mm256_set1_ps(sval * mult);
         __m256 val = decodeFp4x8(_mm256_cvtepu8_epi32(chunk[s]),
                                  tab.fp4Mag);
@@ -141,7 +146,7 @@ decodeActivationGroupAvx2(const PackedM2xfpTensor &t, size_t row,
 {
     const Avx2Tables &tab = tables();
     const uint8_t *bytes = t.groupElementBytes(row, group);
-    float sval = tab.lut->e8m0Value[t.scaleCode(row, group)];
+    float sval = tab.tr->scaleValue[t.scaleCode(row, group)];
     uint8_t meta = t.groupMetaByte(row, group);
 
     __m128i chunk[4];
@@ -154,7 +159,7 @@ decodeActivationGroupAvx2(const PackedM2xfpTensor &t, size_t row,
     // magnitudes then rank by descending (7 - lane), i.e. the
     // lowest lane wins, exactly the scalar decode's strict-compare
     // scan. The winning element is re-read from the metadata-
-    // adjusted FP6 table, matching runtime/decode_lut bit for bit.
+    // adjusted FP6 table, matching the generic kernel bit for bit.
     const __m256i lane_rev =
         _mm256_setr_epi32(7, 6, 5, 4, 3, 2, 1, 0);
     for (unsigned s = 0; s < nSubgroups; ++s) {
@@ -179,26 +184,30 @@ decodeActivationGroupAvx2(const PackedM2xfpTensor &t, size_t row,
             7u - (static_cast<uint32_t>(_mm_cvtsi128_si32(mx)) & 7u);
         uint8_t mcode = (meta >> (2 * s)) & 0x3u;
         out[s * subgroupSize + best] =
-            tab.lut->elemEmValue[codes[s * subgroupSize + best]]
+            tab.tr->top1Value[codes[s * subgroupSize + best]]
                                 [mcode] *
             sval;
     }
 }
 
 void
-decodeActivationRowAvx2(const PackedM2xfpTensor &t, size_t row,
-                        float *out)
+decodeActivationRowsAvx2(const PackedM2xfpTensor &t, size_t row0,
+                         size_t n_rows, size_t stride, float *out)
 {
-    for (size_t g = 0; g < t.groupsPerRow(); ++g)
-        decodeActivationGroupAvx2(t, row, g, out + g * groupSize);
+    for (size_t r = 0; r < n_rows; ++r)
+        for (size_t g = 0; g < t.groupsPerRow(); ++g)
+            decodeActivationGroupAvx2(t, row0 + r, g,
+                                      out + r * stride + g * groupSize);
 }
 
 void
-decodeWeightRowAvx2(const PackedM2xfpTensor &t, size_t row,
-                    float *out)
+decodeWeightRowsAvx2(const PackedM2xfpTensor &t, size_t row0,
+                     size_t n_rows, size_t stride, float *out)
 {
-    for (size_t g = 0; g < t.groupsPerRow(); ++g)
-        decodeWeightGroupAvx2(t, row, g, out + g * groupSize);
+    for (size_t r = 0; r < n_rows; ++r)
+        for (size_t g = 0; g < t.groupsPerRow(); ++g)
+            decodeWeightGroupAvx2(t, row0 + r, g,
+                                  out + r * stride + g * groupSize);
 }
 
 void
@@ -229,7 +238,7 @@ decodeWeightSliverAvx2(const PackedM2xfpTensor &w, size_t jbase,
         alignas(32) float sval[8] = {};
         alignas(32) uint32_t meta[8] = {};
         for (size_t l = 0; l < jlim; ++l) {
-            sval[l] = tab.lut->e8m0Value[scales[l * gpr + g]];
+            sval[l] = tab.tr->scaleValue[scales[l * gpr + g]];
             meta[l] = metas[l * gpr + g];
         }
         const __m256 sv = _mm256_load_ps(sval);
@@ -243,7 +252,7 @@ decodeWeightSliverAvx2(const PackedM2xfpTensor &w, size_t jbase,
                 _mm256_srlv_epi32(md, _mm256_set1_epi32(2 * s)),
                 _mm256_set1_epi32(3));
             __m256 scale = _mm256_mul_ps(
-                sv, _mm256_permutevar8x32_ps(tab.sgEmMult, mcode));
+                sv, _mm256_permutevar8x32_ps(tab.subMult, mcode));
             // The subgroup's 8 codes are one 32-bit word per row:
             // element e sits at bits 4e.
             __m256i word = _mm256_mask_i32gather_epi32(

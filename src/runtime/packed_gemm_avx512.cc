@@ -1,7 +1,8 @@
 /**
  * @file
  * AVX-512 (F+BW) tier of the packed GEMM: full-table vector LUT
- * decode of the M2XFP weight streams and an 8x16 broadcast-form FMA
+ * decode of the M2XFP streams — the tier's only row decoders, shared
+ * by the GEMM and the KV attend — and an 8x16 broadcast-form FMA
  * microkernel over 8-wide double accumulators.
  *
  * Decode: the 16-entry FP4 E2M1 value table fits one zmm register,
@@ -10,19 +11,25 @@
  * magnitude permute. The four Sg-EM subgroup scales of a group are
  * staged in one xmm and expanded to per-lane scale vectors with a
  * second permutexvar, keeping the multiply order identical to the
- * scalar decode (value * (sval * mult)), so the decoded floats are
- * bit-identical to runtime/decode_lut (asserted by
- * tests/runtime/simd_test.cc). The W panel skips the row layout
- * entirely: the sliver decoder gathers one subgroup's 32-bit element
- * word from each of the 16 rows with one masked vpgatherdd, then per
- * depth position shifts out the nibble, looks it up with the same
- * vpermps, applies the per-lane subgroup scale and stores two
- * widened 8-double vectors — the k-major sliver row, bit-identical
- * to row decode plus transpose (tests/runtime/packed_gemm_test.cc).
- * Activation-role row decode is shared with the AVX2 tier: its
- * Elem-EM top-1 fix-up is already vectorized there and
- * bit-identical, and re-deriving it per ISA would only add surface
- * for drift.
+ * scalar decode (value * (sval * mult)). The Elem-EM rows decoder
+ * splits a 32-element group into two 16-lane halves, each decoded
+ * with the same table permute; the top-1 fix-up is a branchless
+ * in-register segmented max over the same (mag << 3) | (7 - lane)
+ * keys as the AVX2 tier plus a 64-entry two-table permute
+ * (vpermt2ps) of the metadata-adjusted values, blended into the
+ * winner lanes before the shared scale multiply. Two groups are
+ * interleaved per iteration to cover the shuffle-port latency. Every
+ * lane's value is the exact same table entry times the exact same
+ * scale as the generic CodecTraits kernels, so the decoded floats
+ * are bit-identical to them (tests/runtime/simd_test.cc,
+ * tests/runtime/codec_traits_test.cc). The W panel skips the row
+ * layout entirely: the sliver decoder gathers one subgroup's 32-bit
+ * element word from each of the 16 rows with one masked vpgatherdd,
+ * then per depth position shifts out the nibble, looks it up with
+ * the same vpermps, applies the per-lane subgroup scale and stores
+ * two widened 8-double vectors — the k-major sliver row,
+ * bit-identical to row decode plus transpose
+ * (tests/runtime/packed_gemm_test.cc).
  *
  * Accumulate: per depth step the k-major sliver contributes two
  * 8-wide W vectors and each of the (up to) 8 A rows one broadcast —
@@ -44,7 +51,7 @@
 #include <algorithm>
 #include <climits>
 
-#include "runtime/decode_lut.hh"
+#include "runtime/codec_traits.hh"
 #include "runtime/packed_gemm_kernels.hh"
 #include "util/logging.hh"
 
@@ -60,28 +67,40 @@ constexpr unsigned bytesPerGroup =
     PackedM2xfpTensor::bytesPerGroupElems;
 constexpr unsigned nSubgroups = groupSize / subgroupSize;
 
-/** Scalar tables plus their vector-register forms. */
+/**
+ * The E8M0 codecs' traits tables plus their vector-register forms
+ * (every stream this tier decodes is an E8M0 g32/sg8 stream, and
+ * those codecs share one set of tables).
+ */
 struct Avx512Tables
 {
-    const DecodeTables *lut;
+    const CodecTraits *tr;
     __m512 fp4Value;     //!< the full 16-entry FP4 table
-    __m512 sgEmMult;     //!< lanes 0..3: the subgroup multipliers
+    __m512 subMult;      //!< lanes 0..3: the subgroup multipliers
     __m512i sgIdxLo;     //!< lane -> subgroup index, elements 0..15
     __m512i sgIdxHi;     //!< same for elements 16..31
+    /** top1Value flattened to [code*4 + meta], 64 entries. */
+    __m512 em0, em1, em2, em3;
 };
 
 const Avx512Tables &
 tables()
 {
     static const Avx512Tables t = [] {
-        const DecodeTables &lut = DecodeTables::get();
+        const CodecTraits &tr = CodecTraits::get(PackedCodec::ElemEm);
+        alignas(64) float em[64];
+        for (unsigned c = 0; c < 16; ++c)
+            for (unsigned m = 0; m < 4; ++m)
+                em[c * 4 + m] = tr.top1Value[c][m];
         return Avx512Tables{
-            &lut, _mm512_loadu_ps(lut.fp4Value),
-            _mm512_castps128_ps512(_mm_loadu_ps(lut.sgEmMult)),
+            &tr, _mm512_loadu_ps(tr.fp4Value),
+            _mm512_castps128_ps512(_mm_loadu_ps(tr.subMult)),
             _mm512_set_epi32(1, 1, 1, 1, 1, 1, 1, 1, 0, 0, 0, 0, 0,
                              0, 0, 0),
             _mm512_set_epi32(3, 3, 3, 3, 3, 3, 3, 3, 2, 2, 2, 2, 2,
-                             2, 2, 2)};
+                             2, 2, 2),
+            _mm512_loadu_ps(em), _mm512_loadu_ps(em + 16),
+            _mm512_loadu_ps(em + 32), _mm512_loadu_ps(em + 48)};
     }();
     return t;
 }
@@ -103,6 +122,47 @@ splitNibbles(const uint8_t *bytes, __m128i chunk[2])
     chunk[1] = _mm_unpackhi_epi8(lo, hi); // codes 16..31
 }
 
+/**
+ * Decode 16 element codes (two 8-lane subgroups) to their unscaled
+ * Elem-EM values: FP4 table permute everywhere, the metadata-adjusted
+ * FP6 value blended into each subgroup's top-1 lane. @p shifts
+ * selects the two subgroups' metadata bit positions within @p mb.
+ */
+inline __m512
+decodeElemEmHalf(const Avx512Tables &t, __m512i code, __m512i mb,
+                 __m512i shifts)
+{
+    const __m512i lane_rev = _mm512_setr_epi32(
+        7, 6, 5, 4, 3, 2, 1, 0, 7, 6, 5, 4, 3, 2, 1, 0);
+    const __m512i swap4 = _mm512_setr_epi32(
+        4, 5, 6, 7, 0, 1, 2, 3, 12, 13, 14, 15, 8, 9, 10, 11);
+    __m512 fp4 = _mm512_permutexvar_ps(code, t.fp4Value);
+    // Subgroup argmax of (code & 7), ties to the lowest lane, as a
+    // segmented max over keys (mag << 3) | (7 - lane), reduced with
+    // three in-register swap+max steps.
+    __m512i mag = _mm512_and_si512(code, _mm512_set1_epi32(7));
+    __m512i key = _mm512_or_si512(_mm512_slli_epi32(mag, 3),
+                                  lane_rev);
+    __m512i mx = _mm512_max_epi32(
+        key, _mm512_shuffle_epi32(key, (_MM_PERM_ENUM)0xB1));
+    mx = _mm512_max_epi32(
+        mx, _mm512_shuffle_epi32(mx, (_MM_PERM_ENUM)0x4E));
+    mx = _mm512_max_epi32(mx, _mm512_permutexvar_epi32(swap4, mx));
+    __mmask16 win = _mm512_cmpeq_epi32_mask(key, mx);
+    // top1Value[code][meta] for every lane: 6-bit index into the
+    // 64-entry table, two 32-entry vpermt2ps halves blended on
+    // index bit 5.
+    __m512i mc = _mm512_and_si512(_mm512_srlv_epi32(mb, shifts),
+                                  _mm512_set1_epi32(3));
+    __m512i idx = _mm512_or_si512(_mm512_slli_epi32(code, 2), mc);
+    __m512 em_lo = _mm512_permutex2var_ps(t.em0, idx, t.em1);
+    __m512 em_hi = _mm512_permutex2var_ps(t.em2, idx, t.em3);
+    __mmask16 b5 =
+        _mm512_test_epi32_mask(idx, _mm512_set1_epi32(32));
+    __m512 em = _mm512_mask_blend_ps(b5, em_lo, em_hi);
+    return _mm512_mask_blend_ps(win, fp4, em);
+}
+
 } // anonymous namespace
 
 void
@@ -110,16 +170,16 @@ decodeWeightGroupAvx512(const PackedM2xfpTensor &t, size_t row,
                         size_t group, float *out)
 {
     const Avx512Tables &tab = tables();
-    float sval = tab.lut->e8m0Value[t.scaleCode(row, group)];
+    float sval = tab.tr->scaleValue[t.scaleCode(row, group)];
     uint8_t meta = t.groupMetaByte(row, group);
 
     // The four subgroup scales, premultiplied exactly like the
     // scalar decode, then fanned out to their 8-lane spans.
     __m128 s4 = _mm_setr_ps(
-        sval * tab.lut->sgEmMult[meta & 0x3u],
-        sval * tab.lut->sgEmMult[(meta >> 2) & 0x3u],
-        sval * tab.lut->sgEmMult[(meta >> 4) & 0x3u],
-        sval * tab.lut->sgEmMult[(meta >> 6) & 0x3u]);
+        sval * tab.tr->subMult[meta & 0x3u],
+        sval * tab.tr->subMult[(meta >> 2) & 0x3u],
+        sval * tab.tr->subMult[(meta >> 4) & 0x3u],
+        sval * tab.tr->subMult[(meta >> 6) & 0x3u]);
     __m512 s16 = _mm512_castps128_ps512(s4);
     __m512 scale_lo = _mm512_permutexvar_ps(tab.sgIdxLo, s16);
     __m512 scale_hi = _mm512_permutexvar_ps(tab.sgIdxHi, s16);
@@ -135,11 +195,72 @@ decodeWeightGroupAvx512(const PackedM2xfpTensor &t, size_t row,
 }
 
 void
-decodeWeightRowAvx512(const PackedM2xfpTensor &t, size_t row,
-                      float *out)
+decodeWeightRowsAvx512(const PackedM2xfpTensor &t, size_t row0,
+                       size_t n_rows, size_t stride, float *out)
 {
-    for (size_t g = 0; g < t.groupsPerRow(); ++g)
-        decodeWeightGroupAvx512(t, row, g, out + g * groupSize);
+    for (size_t r = 0; r < n_rows; ++r)
+        for (size_t g = 0; g < t.groupsPerRow(); ++g)
+            decodeWeightGroupAvx512(t, row0 + r, g,
+                                    out + r * stride + g * groupSize);
+}
+
+void
+decodeActivationRowsAvx512(const PackedM2xfpTensor &t, size_t row0,
+                           size_t n_rows, size_t stride, float *out)
+{
+    const Avx512Tables &tab = tables();
+    // Metadata bit positions of subgroups (0,1) and (2,3).
+    const __m512i shifts_a = _mm512_setr_epi32(
+        0, 0, 0, 0, 0, 0, 0, 0, 2, 2, 2, 2, 2, 2, 2, 2);
+    const __m512i shifts_b = _mm512_setr_epi32(
+        4, 4, 4, 4, 4, 4, 4, 4, 6, 6, 6, 6, 6, 6, 6, 6);
+    size_t gpr = t.groupsPerRow();
+    for (size_t r = 0; r < n_rows; ++r) {
+        float *o = out + r * stride;
+        size_t row = row0 + r;
+        const uint8_t *bytes = t.groupElementBytes(row, 0);
+        size_t g = 0;
+        // Two groups per iteration: four independent 16-lane decode
+        // chains keep the shuffle ports busy across the table
+        // permutes' latency.
+        for (; g + 2 <= gpr; g += 2) {
+            __m512 sc0 =
+                _mm512_set1_ps(tab.tr->scaleValue[t.scaleCode(row, g)]);
+            __m512 sc1 = _mm512_set1_ps(
+                tab.tr->scaleValue[t.scaleCode(row, g + 1)]);
+            __m512i mb0 = _mm512_set1_epi32(t.groupMetaByte(row, g));
+            __m512i mb1 =
+                _mm512_set1_epi32(t.groupMetaByte(row, g + 1));
+            __m128i c0[2], c1[2];
+            splitNibbles(bytes + g * bytesPerGroup, c0);
+            splitNibbles(bytes + (g + 1) * bytesPerGroup, c1);
+            __m512 v0 = decodeElemEmHalf(
+                tab, _mm512_cvtepu8_epi32(c0[0]), mb0, shifts_a);
+            __m512 v1 = decodeElemEmHalf(
+                tab, _mm512_cvtepu8_epi32(c0[1]), mb0, shifts_b);
+            __m512 v2 = decodeElemEmHalf(
+                tab, _mm512_cvtepu8_epi32(c1[0]), mb1, shifts_a);
+            __m512 v3 = decodeElemEmHalf(
+                tab, _mm512_cvtepu8_epi32(c1[1]), mb1, shifts_b);
+            _mm512_storeu_ps(o + g * 32, _mm512_mul_ps(v0, sc0));
+            _mm512_storeu_ps(o + g * 32 + 16, _mm512_mul_ps(v1, sc0));
+            _mm512_storeu_ps(o + g * 32 + 32, _mm512_mul_ps(v2, sc1));
+            _mm512_storeu_ps(o + g * 32 + 48, _mm512_mul_ps(v3, sc1));
+        }
+        for (; g < gpr; ++g) {
+            __m512 sc =
+                _mm512_set1_ps(tab.tr->scaleValue[t.scaleCode(row, g)]);
+            __m512i mb = _mm512_set1_epi32(t.groupMetaByte(row, g));
+            __m128i c[2];
+            splitNibbles(bytes + g * bytesPerGroup, c);
+            __m512 v0 = decodeElemEmHalf(
+                tab, _mm512_cvtepu8_epi32(c[0]), mb, shifts_a);
+            __m512 v1 = decodeElemEmHalf(
+                tab, _mm512_cvtepu8_epi32(c[1]), mb, shifts_b);
+            _mm512_storeu_ps(o + g * 32, _mm512_mul_ps(v0, sc));
+            _mm512_storeu_ps(o + g * 32 + 16, _mm512_mul_ps(v1, sc));
+        }
+    }
 }
 
 void
@@ -171,7 +292,7 @@ decodeWeightSliverAvx512(const PackedM2xfpTensor &w, size_t jbase,
         alignas(64) float sval[16] = {};
         alignas(64) uint32_t meta[16] = {};
         for (size_t l = 0; l < jlim; ++l) {
-            sval[l] = tab.lut->e8m0Value[scales[l * gpr + g]];
+            sval[l] = tab.tr->scaleValue[scales[l * gpr + g]];
             meta[l] = metas[l * gpr + g];
         }
         const __m512 sv = _mm512_load_ps(sval);
@@ -184,7 +305,7 @@ decodeWeightSliverAvx512(const PackedM2xfpTensor &w, size_t jbase,
                 _mm512_srlv_epi32(md, _mm512_set1_epi32(2 * s)),
                 _mm512_set1_epi32(3));
             __m512 scale = _mm512_mul_ps(
-                sv, _mm512_permutexvar_ps(mcode, tab.sgEmMult));
+                sv, _mm512_permutexvar_ps(mcode, tab.subMult));
             // The subgroup's 8 codes are one 32-bit word per row:
             // element e sits at bits 4e.
             __m512i word = _mm512_mask_i32gather_epi32(

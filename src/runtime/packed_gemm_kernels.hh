@@ -36,8 +36,13 @@
  * zero pad, and is bit-exact against matmulNt(unpack, unpack);
  * vector tiers may reassociate the sum and sweep the zero-padded
  * tail (verified to tight tolerance by tests/runtime/simd_test.cc).
- * All tiers decode identical values: the vector LUT decodes are
- * bit-identical to runtime/decode_lut.
+ * All tiers decode identical values: the scalar tier runs the
+ * generic CodecTraits kernels, and the vector LUT decodes stage the
+ * same tables and are bit-identical to them.
+ *
+ * The row decoders are shared with the KV attend: rowsDecoder() is
+ * the one place a stream's decode kernel is chosen, for the GEMM's A
+ * blocks and for the attend's K/V pages alike.
  *
  * Not installed API — tests include it for direct kernel access.
  */
@@ -59,9 +64,8 @@ namespace detail {
 
 /**
  * The cache-block hierarchy of the panel GEMM. mr/nr are the
- * register tile compiled into the ISA's microkernel and cannot be
- * overridden; mc/kc/nc are the cache blocks (defaults per ISA,
- * overridable via M2X_GEMM_MC/KC/NC — see gemmBlocking()).
+ * register tile compiled into the ISA's microkernel; mc/kc/nc are
+ * the cache blocks (defaults per ISA — see gemmBlocking()).
  */
 struct GemmBlocking
 {
@@ -90,9 +94,15 @@ using MicroKernelFn = void (*)(const double *a, size_t a_stride,
                                size_t p0, size_t p1, size_t mr_cur,
                                double *acc, size_t acc_stride);
 
-/** Decode one tensor row into a group-padded float buffer. */
-using DecodeRowFn = void (*)(const PackedM2xfpTensor &t, size_t row,
-                             float *out);
+/**
+ * Decode @p n_rows consecutive rows of @p t into a dense float slab:
+ * row @p row0 + r lands at out + r * stride (stride >= groupsPerRow *
+ * groupSize — tail-group padding included). The GEMM decodes one A
+ * row per call, the attend one K or V page per call.
+ */
+using DecodeRowsFn = void (*)(const PackedM2xfpTensor &t, size_t row0,
+                              size_t n_rows, size_t stride,
+                              float *out);
 
 /**
  * Decode the weight rows [jbase, jbase + jlim) of @p w straight into
@@ -113,9 +123,12 @@ using DecodeSliverFn = void (*)(const PackedM2xfpTensor &w,
 /** The per-ISA kernel set used by packedMatmulNt. */
 struct GemmKernels
 {
-    DecodeRowFn decodeActivationRow;
-    DecodeRowFn decodeWeightRow;
-    /** Sg-EM family weight panels (see sliverDecoder). */
+    /** Elem-EM family rows (see rowsDecoder). */
+    DecodeRowsFn decodeActivationRows;
+    /** Sg-EM family rows. */
+    DecodeRowsFn decodeWeightRows;
+    /** Sg-EM family weight panels: the sliver form of
+     *  decodeWeightRows (see sliverDecoder). */
     DecodeSliverFn decodeWeightSliver;
     MicroKernelFn microKernel;
     GemmBlocking blocking;    //!< per-ISA default block hierarchy
@@ -131,34 +144,35 @@ struct GemmKernels
 const GemmKernels &gemmKernels(SimdIsa isa);
 
 /**
- * The row decoder for a stream of group decode kind @p kind and
- * geometry @p info on @p isa: the tier's Elem-EM or Sg-EM kernel
- * where decodeFamily() names one, else the generic traits kernel.
+ * The rows decoder for a stream of group decode kind @p kind and
+ * geometry @p info on @p isa — the one decode selector of the
+ * runtime, used by the GEMM's A side and the KV attend: the tier's
+ * Elem-EM or Sg-EM rows kernel where decodeFamily() names one, else
+ * the generic traits kernel of the role (codecDecodeWeightRows for
+ * SubgroupMult, else codecDecodeRows).
  */
-DecodeRowFn rowDecoder(GroupDecodeKind kind,
-                       const PackedCodecInfo &info, SimdIsa isa);
+DecodeRowsFn rowsDecoder(GroupDecodeKind kind,
+                         const PackedCodecInfo &info, SimdIsa isa);
 
 /**
  * The W-panel sliver decoder for weights of geometry @p info on
- * @p isa: the tier's vector Sg-EM sliver kernel where decodeFamily()
- * names the Sg-EM family, else decodeWeightSliverScalar (the generic
- * traits row decode plus transpose).
+ * @p isa: the tier's vector sliver kernel where rowsDecoder() hands
+ * the weights the tier's Sg-EM rows kernel, else
+ * decodeWeightSliverScalar (the generic traits row decode plus
+ * transpose).
  */
 DecodeSliverFn sliverDecoder(const PackedCodecInfo &info, SimdIsa isa);
 
 /**
  * The block hierarchy packedMatmulNt uses for @p isa: the kernel
- * table's defaults with the M2X_GEMM_MC / M2X_GEMM_KC / M2X_GEMM_NC
- * environment overrides applied (parsed once per process; values are
- * rounded up to the register tile / decode group so no override can
- * break a kernel invariant, malformed values warn and are ignored).
+ * table's defaults, normalized (normalizeBlocking).
  */
 GemmBlocking gemmBlocking(SimdIsa isa);
 
 /**
  * The blocked GEMM with an explicit block hierarchy — the bench's
  * per-block-size sweep and the block-boundary tests use this to pin
- * mc/kc/nc regardless of the environment. @p blocking must come from
+ * mc/kc/nc. @p blocking must come from
  * normalizeBlocking() (or gemmBlocking()) for the same ISA.
  */
 void packedMatmulNtBlocked(const PackedM2xfpTensor &a,
@@ -190,10 +204,11 @@ GemmBlocking normalizeBlocking(SimdIsa isa, size_t mc, size_t kc,
 size_t packedGemmGrain(size_t n_ic, size_t n_jc, size_t lanes);
 
 /** @{ Scalar tier: ascending-k double accumulation, the bit-exact
- *  oracle. Its sliver decoder is the row decode of the weight
- *  stream's scalar kernel (rowDecoder) plus a widening transpose —
- *  the oracle of the vector sliver decoders and the fallback for
- *  generic-family weights (M2-NVFP4) on every tier. */
+ *  oracle. Its row decoders are the generic CodecTraits kernels;
+ *  its sliver decoder is their weight-role row decode plus a
+ *  widening transpose — the oracle of the vector sliver decoders and
+ *  the fallback for generic-family weights (M2-NVFP4) on every
+ *  tier. */
 void decodeWeightSliverScalar(const PackedM2xfpTensor &w, size_t jbase,
                               size_t jlim, size_t nr, double *sliver);
 void microKernelScalar(const double *a, size_t a_stride,
@@ -209,17 +224,20 @@ void microKernelAvx2(const double *a, size_t a_stride,
                      size_t p1, size_t mr_cur, double *acc,
                      size_t acc_stride);
 
-void decodeActivationRowAvx2(const PackedM2xfpTensor &t, size_t row,
-                             float *out);
-void decodeWeightRowAvx2(const PackedM2xfpTensor &t, size_t row,
-                         float *out);
+/** Elem-EM rows: 8-entry magnitude vpermps + sign per subgroup,
+ *  vector top-1 argmax. */
+void decodeActivationRowsAvx2(const PackedM2xfpTensor &t, size_t row0,
+                              size_t n_rows, size_t stride,
+                              float *out);
+void decodeWeightRowsAvx2(const PackedM2xfpTensor &t, size_t row0,
+                          size_t n_rows, size_t stride, float *out);
 /** Sg-EM sliver decode for nr=8: one masked gather per subgroup. */
 void decodeWeightSliverAvx2(const PackedM2xfpTensor &w, size_t jbase,
                             size_t jlim, size_t nr, double *sliver);
 
 /** @{
- * Vector group decodes, bit-identical to runtime/decode_lut —
- * exposed for the vector-vs-scalar exactness tests.
+ * Vector group decodes, bit-identical to the generic CodecTraits
+ * kernels — exposed for the vector-vs-scalar exactness tests.
  */
 void decodeActivationGroupAvx2(const PackedM2xfpTensor &t, size_t row,
                                size_t group, float *out);
@@ -230,15 +248,18 @@ void decodeWeightGroupAvx2(const PackedM2xfpTensor &t, size_t row,
 #endif // M2X_HAVE_AVX2
 
 #ifdef M2X_HAVE_AVX512
-/** @{ AVX-512 tier: full-table vpermps decode, 8-wide double FMA.
- *  Activation-row decode is shared with the AVX2 tier (the Elem-EM
- *  top-1 fixup is already vectorized there and bit-identical). */
+/** @{ AVX-512 tier: full-table vpermps decode, 8-wide double FMA. */
 void microKernelAvx512(const double *a, size_t a_stride,
                        const double *ws, size_t nr, size_t p0,
                        size_t p1, size_t mr_cur, double *acc,
                        size_t acc_stride);
-void decodeWeightRowAvx512(const PackedM2xfpTensor &t, size_t row,
-                           float *out);
+/** Elem-EM rows: two 16-lane halves per group, in-register top-1
+ *  segmented max and a 64-entry vpermt2ps FP6 lookup. */
+void decodeActivationRowsAvx512(const PackedM2xfpTensor &t,
+                                size_t row0, size_t n_rows,
+                                size_t stride, float *out);
+void decodeWeightRowsAvx512(const PackedM2xfpTensor &t, size_t row0,
+                            size_t n_rows, size_t stride, float *out);
 /** Sg-EM sliver decode for nr=16: one masked gather per subgroup. */
 void decodeWeightSliverAvx512(const PackedM2xfpTensor &w, size_t jbase,
                               size_t jlim, size_t nr, double *sliver);

@@ -23,7 +23,9 @@ quantizeKernels(SimdIsa isa)
         return avx2;
 #endif
 #ifdef M2X_HAVE_AVX512
-    static const QuantizeKernels avx512{&quantizeActivationRowAvx512,
+    // The AVX-512 tier reuses the AVX2 activation encoder (a 16-lane
+    // one was byte-identical but no faster: narrow stores dominate).
+    static const QuantizeKernels avx512{&quantizeActivationRowAvx2,
                                         &encodeSgEmGroupAvx512};
     if (isa == SimdIsa::Avx512)
         return avx512;
@@ -179,11 +181,7 @@ PackedM2xfpTensor::packActivations(const Matrix &m,
     if (rows == 0 || gpr == 0)
         return;
 
-    // Encoder tiers are byte-exact against each other, so the encode
-    // stage may run a different (faster) tier than the surrounding
-    // GEMM/attend — see encodeSimdIsa.
-    const detail::QuantizeKernels &kern =
-        detail::quantizeKernels(encodeSimdIsa(isa));
+    const detail::QuantizeKernels &kern = detail::quantizeKernels(isa);
     const float *src = m.data();
     size_t cols = m.cols();
     uint8_t *elems = out.elements_.data();
@@ -238,8 +236,7 @@ PackedM2xfpTensor::appendActivationRows(const float *rows,
     scales_.resize(rows_ * gpr);
     meta_.resize(rows_ * gpr);
 
-    const detail::QuantizeKernels &kern =
-        detail::quantizeKernels(encodeSimdIsa(isa));
+    const detail::QuantizeKernels &kern = detail::quantizeKernels(isa);
     forEachRow(n_rows, pool, [&](size_t r) {
         size_t slot = (old_rows + r) * gpr;
         kern.quantizeActivationRow(

@@ -29,8 +29,10 @@
  *
  * Tier selection goes through the same SimdIsa dispatch as the GEMM
  * microkernels (runtime/simd.hh): M2X_SIMD governs both the encode
- * and the GEMM tier. Rows are independent, so the row loop is
- * distributed over a ThreadPool.
+ * and the GEMM tier. The AVX-512 tier's activation encoder is the
+ * AVX2 one — a 16-lane version was byte-identical but no faster, as
+ * the narrow stores of the pack dominate. Rows are independent, so
+ * the row loop is distributed over a ThreadPool.
  *
  * The same table carries a second encoder family: the paper's Sg-EM
  * weight codec (g32/sg8, 2-bit subgroup multipliers, optional
@@ -125,18 +127,6 @@ void encodeActivationGroupAvx2(const float *in, ScaleRule rule,
                                uint8_t *elems, uint8_t *scale,
                                uint8_t *meta);
 #endif // M2X_HAVE_AVX2
-
-#ifdef M2X_HAVE_AVX512
-/** AVX-512 tier: 16-lane mask-ladder FP4 RNE, vpmovdb nibble pack.
- *  Held to the same byte-exact contract as every other tier. */
-void quantizeActivationRowAvx512(const float *src, size_t cols,
-                                 ScaleRule rule, uint8_t *elems,
-                                 uint8_t *scales, uint8_t *meta);
-
-void encodeActivationGroupAvx512(const float *in, ScaleRule rule,
-                                 uint8_t *elems, uint8_t *scale,
-                                 uint8_t *meta);
-#endif // M2X_HAVE_AVX512
 
 /** @{ Per-tier Sg-EM group encoders (see SgEmEncodeGroupFn). */
 void encodeSgEmGroupScalar(const float *in, ScaleRule rule,

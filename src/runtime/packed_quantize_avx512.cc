@@ -1,33 +1,22 @@
 /**
  * @file
- * AVX-512 (F+BW) tier of the fast-path activation encoder.
- *
- * Same byte-exact contract as the AVX2 tier (encoding is
- * elementwise, so every vector step reproduces the scalar oracle
- * exactly), with the group processed as two 16-lane vectors:
- *
- *   absmax   — abs-mask + lanewise max with the same NaN-ignoring
- *              operand order as the scalar fold, reduced with
- *              _mm512_reduce_max_ps (safe: NaNs never enter the
- *              accumulator).
- *   FP4 RNE  — the fp4CodeRne() threshold ladder as seven
- *              _mm512_cmp_ps_mask compares (GT/GE per tie so ties
- *              land on the even code) accumulated with masked adds;
- *              NaN lanes mask-blend to code 7.
- *   top-1    — per subgroup, on the extracted 8-lane halves, the
- *              same (mag << 3) | (7 - lane) horizontal-max key as
- *              the AVX2 tier.
- *   pack     — vpmovdb (_mm512_cvtepi32_epi8) truncates each
- *              16-code vector to ordered bytes in one step — no
- *              packus/permute dance — then nibbles merge in 16-bit
- *              lanes.
+ * AVX-512 (F+BW) tier of the fast-path Sg-EM encoder (weight
+ * packing, sg_em activations and KV appends). The tier's Elem-EM
+ * activation encoder is the AVX2 one (quantizeKernels): a 16-lane
+ * version was byte-identical but no faster, since the narrow stores
+ * of the pack dominate.
  *
  * The Sg-EM group encoder puts the 12 candidate scales of a group
  * in the lanes of one vector and walks the 32 elements once: each
  * element is broadcast, scaled by all 12 inverses, rounded to its
  * FP4 value by magic-number addition, and its squared error added
- * to the lane's double sum (8 + 4 double lanes). Only the winner's
- * codes go through the ladder and the pack above.
+ * to the lane's double sum (8 + 4 double lanes), with the same
+ * operation order as the functional encoder, so the result is
+ * byte-identical to it. Only the winner's codes go through the
+ * FP4 RNE ladder — the fp4CodeRne() thresholds as seven
+ * _mm512_cmp_ps_mask compares (GT/GE per tie so ties land on the
+ * even code), NaN lanes mask-blended to code 7 — and the vpmovdb
+ * (_mm512_cvtepi32_epi8) nibble pack.
  *
  * This translation unit is compiled with -mavx2 -mfma -mavx512f
  * -mavx512bw and must only be entered through the runtime dispatch
@@ -35,9 +24,6 @@
  */
 
 #include <immintrin.h>
-
-#include <algorithm>
-#include <cstring>
 
 #include "runtime/packed_quantize.hh"
 
@@ -51,10 +37,6 @@ constexpr size_t groupSize = PackedM2xfpTensor::groupSize;
 constexpr size_t subgroupSize = PackedM2xfpTensor::subgroupSize;
 constexpr size_t nSubgroups = groupSize / subgroupSize;
 
-/**
- * FP4 codes of 16 scaled elements, one per 32-bit lane.
- * Bit-identical to fp4CodeRne() lane by lane.
- */
 /** |x| lanewise; float-domain and_ps is DQ, so mask in the integer
  *  domain (AVX512F). */
 inline __m512
@@ -64,6 +46,10 @@ abs16(__m512 x)
         _mm512_castps_si512(x), _mm512_set1_epi32(0x7fffffff)));
 }
 
+/**
+ * FP4 codes of 16 scaled elements, one per 32-bit lane.
+ * Bit-identical to fp4CodeRne() lane by lane.
+ */
 inline __m512i
 fp4Codes16(__m512 x)
 {
@@ -92,29 +78,6 @@ fp4Codes16(__m512 x)
     // NaN lanes must match the scalar convention: +max, code 7.
     __mmask16 nan = _mm512_cmp_ps_mask(x, x, _CMP_UNORD_Q);
     return _mm512_mask_mov_epi32(code, nan, _mm512_set1_epi32(7));
-}
-
-/**
- * Argmax of (code & 7) over one subgroup's 8 dword codes, ties to
- * the lowest index — the decoder's exact rule, found via the same
- * (mag << 3) | (7 - lane) horizontal-max key as the AVX2 tier.
- * Returns (idx << 3) | mag.
- */
-inline uint32_t
-subgroupTop1(__m256i codes8)
-{
-    const __m256i revlane = _mm256_set_epi32(0, 1, 2, 3, 4, 5, 6, 7);
-    __m256i mag = _mm256_and_si256(codes8, _mm256_set1_epi32(7));
-    __m256i key =
-        _mm256_or_si256(_mm256_slli_epi32(mag, 3), revlane);
-    __m128i k = _mm_max_epi32(_mm256_castsi256_si128(key),
-                              _mm256_extracti128_si256(key, 1));
-    k = _mm_max_epi32(k,
-                      _mm_shuffle_epi32(k, _MM_SHUFFLE(1, 0, 3, 2)));
-    k = _mm_max_epi32(k,
-                      _mm_shuffle_epi32(k, _MM_SHUFFLE(2, 3, 0, 1)));
-    uint32_t best = static_cast<uint32_t>(_mm_cvtsi128_si32(k));
-    return ((7u - (best & 0x7u)) << 3) | (best >> 3);
 }
 
 /**
@@ -184,49 +147,6 @@ fp4Value16(__m512 y)
 } // anonymous namespace
 
 void
-encodeActivationGroupAvx512(const float *in, ScaleRule rule,
-                            uint8_t *elems, uint8_t *scale,
-                            uint8_t *meta)
-{
-    // Step 1: block absmax.
-    __m512 v_lo = _mm512_loadu_ps(in);
-    __m512 v_hi = _mm512_loadu_ps(in + 16);
-    float amax = groupAbsMax(v_lo, v_hi);
-
-    ScaleE8m0 s =
-        computeSharedScale(amax, Minifloat::fp4e2m1(), rule);
-    *scale = s.code();
-    float inv = s.inverse();
-    __m512 vinv = _mm512_set1_ps(inv);
-
-    // Step 2: FP4 codes, 16 per vector (two subgroups each).
-    __m512i codes_lo = fp4Codes16(_mm512_mul_ps(v_lo, vinv));
-    __m512i codes_hi = fp4Codes16(_mm512_mul_ps(v_hi, vinv));
-
-    // Steps 3-7: top-1 per subgroup on the 8-lane halves, FP6
-    // re-round of the winner stays scalar (4 per group).
-    __m256i sgc[nSubgroups] = {
-        _mm512_castsi512_si256(codes_lo),
-        _mm512_extracti64x4_epi64(codes_lo, 1),
-        _mm512_castsi512_si256(codes_hi),
-        _mm512_extracti64x4_epi64(codes_hi, 1)};
-    uint8_t mb = 0;
-    for (size_t sg = 0; sg < nSubgroups; ++sg) {
-        uint32_t top = subgroupTop1(sgc[sg]);
-        size_t idx = top >> 3;
-        uint32_t mag4 = top & 0x7u;
-        float a6 = std::fabs(in[sg * subgroupSize + idx]) * inv;
-        uint32_t mag6 = fp6MagRne(a6);
-        mb = static_cast<uint8_t>(
-            mb | ((ElemEmQuantizer::encodeMeta(mag6, mag4) & 0x3u)
-                  << (2 * sg)));
-    }
-    *meta = mb;
-
-    packNibbles(codes_lo, codes_hi, elems);
-}
-
-void
 encodeSgEmGroupAvx512(const float *in, ScaleRule rule, bool adaptive,
                       uint8_t *elems, uint8_t *scale, uint8_t *meta)
 {
@@ -289,8 +209,7 @@ encodeSgEmGroupAvx512(const float *in, ScaleRule rule, bool adaptive,
     *meta = sgEmMetaByte(mult);
 
     // The winner's codes: each subgroup's inverse scale fanned out
-    // to its 8 lanes, then the same FP4 ladder and pack as the
-    // Elem-EM encoder.
+    // to its 8 lanes, then the FP4 ladder and the pack.
     const float *row = tab.inv[codes[b]];
     __m512 inv_lo = _mm512_mask_blend_ps(0xff00,
                                          _mm512_set1_ps(row[mult[0]]),
@@ -300,26 +219,6 @@ encodeSgEmGroupAvx512(const float *in, ScaleRule rule, bool adaptive,
                                          _mm512_set1_ps(row[mult[3]]));
     packNibbles(fp4Codes16(_mm512_mul_ps(v_lo, inv_lo)),
                 fp4Codes16(_mm512_mul_ps(v_hi, inv_hi)), elems);
-}
-
-void
-quantizeActivationRowAvx512(const float *src, size_t cols,
-                            ScaleRule rule, uint8_t *elems,
-                            uint8_t *scales, uint8_t *meta)
-{
-    constexpr size_t bpg = PackedM2xfpTensor::bytesPerGroupElems;
-    size_t g = 0;
-    for (; (g + 1) * groupSize <= cols; ++g)
-        encodeActivationGroupAvx512(src + g * groupSize, rule,
-                                    elems + g * bpg, scales + g,
-                                    meta + g);
-    if (g * groupSize < cols) {
-        alignas(64) float padded[groupSize] = {};
-        std::memcpy(padded, src + g * groupSize,
-                    (cols - g * groupSize) * sizeof(float));
-        encodeActivationGroupAvx512(padded, rule, elems + g * bpg,
-                                    scales + g, meta + g);
-    }
 }
 
 } // namespace detail

@@ -26,7 +26,8 @@ cpuHasAvx512()
 {
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
     // The kernels are compiled -mavx512f -mavx512bw and also lean on
-    // the AVX2 tier (shared decode helpers), so demand all of it.
+    // the AVX2 tier (the tier's activation encoder is the AVX2 one),
+    // so demand all of it.
     return __builtin_cpu_supports("avx512f") &&
            __builtin_cpu_supports("avx512bw") && cpuHasAvx2();
 #else
@@ -124,34 +125,7 @@ resolveSimdIsa(const char *env)
     return bestAvailableIsa();
 }
 
-SimdIsa
-resolveEncodeSimdIsa(const char *env, SimdIsa isa)
-{
-    if (env && *env && std::strcmp(env, "auto") != 0)
-        return resolveSimdIsa(env);
-    // Demotion policy: the AVX-512 activation encoder trails the
-    // AVX2 one on the measured hosts (ROADMAP), and the tiers are
-    // byte-exact against each other, so swapping tiers under the
-    // encode stage is free.
-    if (isa == SimdIsa::Avx512 && simdIsaAvailable(SimdIsa::Avx2))
-        return SimdIsa::Avx2;
-    return isa;
-}
-
 } // namespace detail
-
-SimdIsa
-encodeSimdIsa(SimdIsa isa)
-{
-    static const char *env = std::getenv("M2X_SIMD_ENCODE");
-    static const bool overridden =
-        env && *env && std::strcmp(env, "auto") != 0;
-    if (overridden) {
-        static const SimdIsa forced = detail::resolveSimdIsa(env);
-        return forced;
-    }
-    return detail::resolveEncodeSimdIsa(nullptr, isa);
-}
 
 SimdIsa
 activeSimdIsa()

@@ -19,6 +19,9 @@
  *   M2X_SIMD=avx512   force AVX-512 (same graceful downgrade)
  *   M2X_SIMD=auto     (or unset) best tier the machine supports
  *
+ * The AVX-512 tier's activation encoder is the AVX2 one (see
+ * runtime/packed_quantize.hh); every other kernel runs at the tier.
+ *
  * Code that wants a specific tier regardless of the environment
  * (tests, the per-ISA bench comparison) passes a SimdIsa explicitly
  * to the packedMatmulNt / PackedLinear overloads instead.
@@ -58,22 +61,6 @@ SimdIsa activeSimdIsa();
 /** simdIsaName(activeSimdIsa()). */
 const char *activeSimdIsaName();
 
-/**
- * The kernel tier the *activation encoder* should run at when the
- * surrounding computation runs at @p isa. On the measured hosts the
- * AVX-512 encoder (vpmovdb pack path) trails the AVX2 one — narrow
- * stores dominate and the wider lanes don't pay — so an Avx512
- * request is demoted to Avx2 for the encode stage only; GEMM and
- * attend keep their full tier. The byte-exactness contract between
- * encoder tiers makes the demotion numerically invisible.
- *
- * Overridable with M2X_SIMD_ENCODE (scalar|avx2|avx512|auto, same
- * availability fallbacks as M2X_SIMD; auto/unset = the demotion
- * policy above) — the knob the encoder bench uses to measure the
- * tiers honestly. Resolved once per process.
- */
-SimdIsa encodeSimdIsa(SimdIsa isa);
-
 namespace detail {
 
 /**
@@ -81,13 +68,6 @@ namespace detail {
  * exposed so tests can cover the parsing without re-execing.
  */
 SimdIsa resolveSimdIsa(const char *env);
-
-/**
- * Pure resolution of an M2X_SIMD_ENCODE value for a computation
- * running at @p isa (nullptr/"auto" = demote Avx512 to Avx2 when
- * available); exposed for the same reason.
- */
-SimdIsa resolveEncodeSimdIsa(const char *env, SimdIsa isa);
 
 } // namespace detail
 

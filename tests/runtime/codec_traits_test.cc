@@ -15,6 +15,7 @@
 
 #include <bit>
 #include <cmath>
+#include <cstring>
 #include <iterator>
 #include <string>
 #include <vector>
@@ -26,7 +27,6 @@
 #include "formats/e8m0.hh"
 #include "formats/minifloat.hh"
 #include "runtime/codec_traits.hh"
-#include "runtime/decode_lut.hh"
 #include "runtime/packed_gemm_kernels.hh"
 #include "runtime/simd.hh"
 #include "runtime_test_util.hh"
@@ -170,12 +170,17 @@ TEST(CodecTraits, ScaleTableMatchesTheCodecsScaleRule)
 TEST(CodecTraits, MetadataTablesMatchTheFunctionalRules)
 {
     const Minifloat &fp6 = Minifloat::fp6e2m3();
+    const SgEmQuantizer sq = makeM2xfpWeightQuantizer();
+    const ScaleE8m0 one = ScaleE8m0::fromExponent(0);
     for (PackedCodec c : allPackedCodecs()) {
         SCOPED_TRACE(codecTrace(c));
         const CodecTraits &t = CodecTraits::get(c);
-        // Weight role everywhere, Sg-EM activations: 1 + m/4.
-        for (uint8_t m = 0; m < 4; ++m)
+        // Weight role everywhere, Sg-EM activations: the Sg-EM
+        // quantizer's subgroup scale at a unit shared scale, 1 + m/4.
+        for (uint8_t m = 0; m < 4; ++m) {
+            EXPECT_EQ(t.subMult[m], sq.subgroupScale(one, m)) << int(m);
             EXPECT_EQ(t.subMult[m], 1.0f + m / 4.0f) << int(m);
+        }
         // Elem-EM-style top-1 FP6 replacement (Elem-EM, M2-NVFP4).
         for (uint32_t code = 0; code < 16; ++code) {
             for (uint8_t m = 0; m < 4; ++m) {
@@ -298,28 +303,27 @@ TEST(CodecTraits, RowDecodeMatchesFunctionalWithRaggedTail)
     }
 }
 
-TEST(CodecTraits, ElemEmGenericKernelsMatchTheLegacyLut)
+TEST(CodecTraits, E8m0CodecsShareOneTableSet)
 {
-    // The seam's identity property: on Elem-EM tensors the generic
-    // kernels are bit-identical to the legacy decode_lut path, so
-    // driver-level dispatch can never change a result, only a code
-    // path.
-    Matrix m = randomMatrix(5, 77, 0xBEEF, 4.0);
-    ElemEmQuantizer aq = makeM2xfpActivationQuantizer();
-    SgEmQuantizer wq = makeM2xfpWeightQuantizer();
-    PackedM2xfpTensor ta = PackedM2xfpTensor::packActivations(m, aq);
-    PackedM2xfpTensor tw = PackedM2xfpTensor::packWeights(m, wq);
-    size_t padded = ta.groupsPerRow() * 32;
-    std::vector<float> legacy(padded), generic(padded);
-    for (size_t r = 0; r < m.rows(); ++r) {
-        decodeActivationRow(ta, r, legacy.data());
-        codecDecodeActivationRow(ta, r, generic.data());
-        for (size_t i = 0; i < padded; ++i)
-            ASSERT_EQ(generic[i], legacy[i]) << "act " << r << "," << i;
-        decodeWeightRow(tw, r, legacy.data());
-        codecDecodeWeightRow(tw, r, generic.data());
-        for (size_t i = 0; i < padded; ++i)
-            ASSERT_EQ(generic[i], legacy[i]) << "wt " << r << "," << i;
+    // The vector tiers stage one codec's tables (ElemEm's) for every
+    // stream decodeFamily routes to them, whatever its codec — exact
+    // only while every such codec builds the very same tables.
+    const CodecTraits &ref = CodecTraits::get(PackedCodec::ElemEm);
+    for (PackedCodec c : allPackedCodecs()) {
+        const CodecTraits &tr = CodecTraits::get(c);
+        if (decodeFamily(tr.actKind, *tr.info) == DecodeFamily::Generic &&
+            decodeFamily(GroupDecodeKind::SubgroupMult, *tr.info) ==
+                DecodeFamily::Generic)
+            continue;
+        SCOPED_TRACE(codecTrace(c));
+        EXPECT_EQ(std::memcmp(tr.fp4Value, ref.fp4Value,
+                              sizeof(ref.fp4Value)), 0);
+        EXPECT_EQ(std::memcmp(tr.scaleValue, ref.scaleValue,
+                              sizeof(ref.scaleValue)), 0);
+        EXPECT_EQ(std::memcmp(tr.subMult, ref.subMult,
+                              sizeof(ref.subMult)), 0);
+        EXPECT_EQ(std::memcmp(tr.top1Value, ref.top1Value,
+                              sizeof(ref.top1Value)), 0);
     }
 }
 
@@ -342,55 +346,116 @@ TEST(CodecTraits, DecodeFamilyRuleKeysOnKindAndGeometry)
     EXPECT_EQ(family(PackedCodec::M2Nvfp4, true), DecodeFamily::Generic);
 }
 
+/**
+ * The kernel the decode selector must hand each (codec, role, tier):
+ * the tier's Elem-EM or Sg-EM rows kernel for the E8M0 g32/sg8
+ * streams whose metadata replaces the top-1 value or multiplies the
+ * subgroup scale (on the scalar tier those are the generic kernels),
+ * else the generic kernel of the role.
+ */
+detail::DecodeRowsFn
+expectedRowsKernel(PackedCodec c, bool weight, SimdIsa isa)
+{
+    bool sg = weight || c == PackedCodec::SgEm;
+    if (c == PackedCodec::M2Nvfp4 || (!sg && c == PackedCodec::ElemEe))
+        return weight ? &codecDecodeWeightRows : &codecDecodeRows;
+    switch (isa) {
+#ifdef M2X_HAVE_AVX2
+    case SimdIsa::Avx2:
+        return sg ? &detail::decodeWeightRowsAvx2
+                  : &detail::decodeActivationRowsAvx2;
+#endif
+#ifdef M2X_HAVE_AVX512
+    case SimdIsa::Avx512:
+        return sg ? &detail::decodeWeightRowsAvx512
+                  : &detail::decodeActivationRowsAvx512;
+#endif
+    default:
+        break;
+    }
+    return sg ? &codecDecodeWeightRows : &codecDecodeRows;
+}
+
 TEST(CodecTraits, DispatchedRowDecodersMatchTheGenericKernels)
 {
-    // Whatever kernel the dispatch rule picks — a per-ISA Elem-EM or
-    // Sg-EM kernel, or the generic one — it must decode every stream
-    // bit for bit like the generic traits kernel of that role: every
-    // element byte at every position, crossed with valid scale codes
-    // and metadata bytes.
+    // The one decode selector (detail::rowsDecoder) serves the GEMM's
+    // A side, one row per call, and the KV attend, one page per call.
+    // Whatever kernel it picks must decode every stream bit for bit
+    // like the generic traits kernel of that role: every element byte
+    // at every position, crossed with valid scale codes and metadata
+    // bytes, in rows of several groups — in both call forms, and in
+    // the page form without touching the gap between a padded row and
+    // the next row's stride.
     for (PackedCodec c : allPackedCodecs()) {
         SCOPED_TRACE(codecTrace(c));
         const CodecTraits &tr = CodecTraits::get(c);
         const PackedCodecInfo &info = *tr.info;
-        std::vector<uint8_t> scales_of = validScaleCodes(c);
-        const uint8_t metas[] = {0x00, 0x1b, 0xe4, 0xff};
-        size_t rows = 256 * scales_of.size() * std::size(metas);
-        std::vector<uint8_t> elems(rows * info.bytesPerGroupElems);
-        std::vector<uint8_t> scales(rows), meta(rows);
-        size_t r = 0;
+        const size_t bpg = info.bytesPerGroupElems;
+        std::vector<uint8_t> elems, scales, meta;
         for (unsigned b = 0; b < 256; ++b)
-            for (uint8_t sc : scales_of)
-                for (uint8_t mb : metas) {
-                    for (unsigned j = 0; j < info.bytesPerGroupElems; ++j)
-                        elems[r * info.bytesPerGroupElems + j] =
-                            static_cast<uint8_t>(b + 17 * j);
-                    scales[r] = sc;
-                    meta[r] = mb;
-                    ++r;
+            for (uint8_t sc : validScaleCodes(c))
+                for (uint8_t mb : {0x00, 0x1b, 0xe4, 0xff}) {
+                    for (unsigned j = 0; j < bpg; ++j)
+                        elems.push_back(static_cast<uint8_t>(b + 17 * j));
+                    scales.push_back(sc);
+                    meta.push_back(mb);
                 }
+        // Rows of three groups (the last one ragged): repeat the
+        // first groups to fill the last row.
+        const size_t gpr = 3;
+        for (size_t gi = 0; scales.size() % gpr != 0; ++gi) {
+            for (size_t j = 0; j < bpg; ++j) {
+                uint8_t e = elems[gi * bpg + j];
+                elems.push_back(e);
+            }
+            uint8_t sc = scales[gi], mb = meta[gi];
+            scales.push_back(sc);
+            meta.push_back(mb);
+        }
+        const size_t rows = scales.size() / gpr;
         PackedM2xfpTensor t = PackedM2xfpTensor::fromRawStreams(
-            rows, info.groupSize, std::move(elems), std::move(scales),
-            std::move(meta), c);
-        std::vector<float> got(info.groupSize), want(info.groupSize);
+            rows, gpr * info.groupSize - 3, std::move(elems),
+            std::move(scales), std::move(meta), c);
+        const size_t padded = gpr * info.groupSize;
+        // The page: every row but the first, 5 floats of gap per row.
+        const size_t row0 = 1, n_rows = rows - 1, stride = padded + 5;
+        std::vector<float> want(rows * padded), one(padded);
+        std::vector<float> page((n_rows + 1) * stride);
         for (SimdIsa isa : supportedSimdIsas()) {
             SCOPED_TRACE(std::string("isa=") + simdIsaName(isa));
             for (bool weight : {false, true}) {
+                SCOPED_TRACE(weight ? "weight role" : "activation role");
                 GroupDecodeKind kind =
                     weight ? GroupDecodeKind::SubgroupMult : tr.actKind;
-                detail::DecodeRowFn dispatched =
-                    detail::rowDecoder(kind, info, isa);
-                detail::DecodeRowFn generic =
-                    weight ? &codecDecodeWeightRow
-                           : &codecDecodeActivationRow;
-                for (size_t row = 0; row < rows; ++row) {
-                    dispatched(t, row, got.data());
-                    generic(t, row, want.data());
-                    for (size_t i = 0; i < info.groupSize; ++i)
-                        ASSERT_EQ(std::bit_cast<uint32_t>(got[i]),
-                                  std::bit_cast<uint32_t>(want[i]))
-                            << (weight ? "wt" : "act") << " row "
-                            << row << " i " << i;
+                detail::DecodeRowsFn dispatched =
+                    detail::rowsDecoder(kind, info, isa);
+                EXPECT_EQ(dispatched, expectedRowsKernel(c, weight, isa));
+                (weight ? &codecDecodeWeightRows : &codecDecodeRows)(
+                    t, 0, rows, padded, want.data());
+                for (size_t r = 0; r < rows; ++r) {
+                    dispatched(t, r, 1, padded, one.data());
+                    ASSERT_EQ(std::memcmp(one.data(),
+                                          want.data() + r * padded,
+                                          padded * sizeof(float)),
+                              0)
+                        << "row " << r;
+                }
+                std::memset(page.data(), 0xab,
+                            page.size() * sizeof(float));
+                dispatched(t, row0, n_rows, stride, page.data());
+                for (size_t r = 0; r < n_rows; ++r)
+                    ASSERT_EQ(std::memcmp(page.data() + r * stride,
+                                          want.data() +
+                                              (row0 + r) * padded,
+                                          padded * sizeof(float)),
+                              0)
+                        << "page row " << r;
+                for (size_t i = 0; i < page.size(); ++i) {
+                    if (i % stride < padded && i < n_rows * stride)
+                        continue;
+                    ASSERT_EQ(std::bit_cast<uint32_t>(page[i]),
+                              0xababababu)
+                        << "gap float " << i << " was written";
                 }
             }
         }

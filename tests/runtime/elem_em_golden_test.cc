@@ -160,11 +160,11 @@ TEST(ElemEmGolden, GemmPanelDecodeOnEveryTier)
         std::vector<float> buf(padded_k);
         uint64_t h = fnvBasis;
         for (size_t r = 0; r < a.rows(); ++r) {
-            kern.decodeActivationRow(a, r, buf.data());
+            kern.decodeActivationRows(a, r, 1, padded_k, buf.data());
             h = fnv1a(buf.data(), buf.size() * sizeof(float), h);
         }
         for (size_t r = 0; r < w.rows(); ++r) {
-            kern.decodeWeightRow(w, r, buf.data());
+            kern.decodeWeightRows(w, r, 1, padded_k, buf.data());
             h = fnv1a(buf.data(), buf.size() * sizeof(float), h);
         }
         EXPECT_EQ(h, goldenGemmPanelHash);

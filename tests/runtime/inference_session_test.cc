@@ -84,16 +84,8 @@ TEST(InferenceSession, BatchedForwardAndTimings)
         EXPECT_EQ(st->rows.load(), total_rows) << st->name;
         EXPECT_GT(st->packedBytes, 0u) << st->name;
         EXPECT_LT(st->packedBytes, st->denseBytes) << st->name;
-        // Every layer reports the tier it actually executes on,
-        // including the demoted encode tier when it differs (e.g.
-        // "avx512+avx2enc" — see encodeSimdIsa).
-        SimdIsa gemm_isa = session.simdIsa();
-        SimdIsa enc_isa = encodeSimdIsa(gemm_isa);
-        std::string want_isa = simdIsaName(gemm_isa);
-        if (enc_isa != gemm_isa)
-            want_isa +=
-                std::string("+") + simdIsaName(enc_isa) + "enc";
-        EXPECT_EQ(st->isa, want_isa) << st->name;
+        // Every layer reports the tier it executes on.
+        EXPECT_EQ(st->isa, simdIsaName(session.simdIsa())) << st->name;
         // The phase split is populated and consistent: quantize +
         // GEMM account for (most of, never more than) the layer's
         // wall time.

@@ -321,12 +321,12 @@ rowDecodeSliver(const PackedM2xfpTensor &w, size_t jbase, size_t jlim,
 {
     size_t k = w.cols();
     size_t padded_k = w.groupsPerRow() * w.codecInfo().groupSize;
-    detail::DecodeRowFn decode = detail::rowDecoder(
+    detail::DecodeRowsFn decode = detail::rowsDecoder(
         GroupDecodeKind::SubgroupMult, w.codecInfo(), isa);
     std::vector<double> sl(padded_k * nr, 0.0);
     std::vector<float> row(padded_k);
     for (size_t lane = 0; lane < jlim; ++lane) {
-        decode(w, jbase + lane, row.data());
+        decode(w, jbase + lane, 1, padded_k, row.data());
         for (size_t p = 0; p < k; ++p)
             sl[p * nr + lane] = row[p];
     }

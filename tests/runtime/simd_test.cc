@@ -4,7 +4,8 @@
  *  - M2X_SIMD resolution logic (pure, no re-exec needed),
  *  - vector-vs-scalar decode exactness over all 256 values of every
  *    stream byte (element codes, metadata, scales) — the vector LUT
- *    decode must be bit-identical to runtime/decode_lut,
+ *    decode must be bit-identical to the generic CodecTraits kernels
+ *    (the scalar tier),
  *  - randomized differential GEMM between the scalar oracle and each
  *    vector tier (AVX2, AVX-512) across ragged M/N/K and tail-group
  *    shapes (≤ 1e-6 relative), plus explicit-tier pinning regardless
@@ -25,7 +26,7 @@
 
 #include "core/m2xfp.hh"
 #include "gemm/gemm.hh"
-#include "runtime/decode_lut.hh"
+#include "runtime/codec_traits.hh"
 #include "runtime/packed_gemm.hh"
 #include "runtime/packed_gemm_kernels.hh"
 #include "runtime_test_util.hh"
@@ -126,11 +127,11 @@ void
 expectDecodeExact(const PackedM2xfpTensor &t)
 {
     float ref[groupSize], vec[groupSize];
-    decodeWeightGroup(t, 0, 0, ref);
+    codecDecodeWeightGroup(t, 0, 0, ref);
     detail::decodeWeightGroupAvx2(t, 0, 0, vec);
     ASSERT_EQ(std::memcmp(ref, vec, sizeof(ref)), 0)
         << "weight decode diverges";
-    decodeActivationGroup(t, 0, 0, ref);
+    codecDecodeActivationGroup(t, 0, 0, ref);
     detail::decodeActivationGroupAvx2(t, 0, 0, vec);
     ASSERT_EQ(std::memcmp(ref, vec, sizeof(ref)), 0)
         << "activation decode diverges";
@@ -190,14 +191,15 @@ TEST(SimdDecode, ExactOnRandomPackedTensors)
         size_t padded_k = pa.groupsPerRow() * groupSize;
         std::vector<float> ref(padded_k), vec(padded_k);
         for (size_t r = 0; r < 5; ++r) {
-            decodeActivationRow(pa, r, ref.data());
-            detail::decodeActivationRowAvx2(pa, r, vec.data());
+            codecDecodeActivationRow(pa, r, ref.data());
+            detail::decodeActivationRowsAvx2(pa, r, 1, padded_k,
+                                             vec.data());
             ASSERT_EQ(std::memcmp(ref.data(), vec.data(),
                                   padded_k * sizeof(float)),
                       0)
                 << "activation row " << r << " k " << k;
             for (size_t g = 0; g < pw.groupsPerRow(); ++g) {
-                decodeWeightGroup(pw, r, g, ref.data());
+                codecDecodeWeightGroup(pw, r, g, ref.data());
                 detail::decodeWeightGroupAvx2(pw, r, g, vec.data());
                 ASSERT_EQ(std::memcmp(ref.data(), vec.data(),
                                       groupSize * sizeof(float)),
@@ -267,15 +269,19 @@ TEST(SimdGemm, TailGroupShapesAgreeAcrossTiers)
 
 #ifdef M2X_HAVE_AVX512
 
-/** Demand bitwise-identical scalar and AVX-512 weight decode. */
+/** Demand bitwise-identical scalar and AVX-512 decode of one group. */
 void
 expectDecodeExactAvx512(const PackedM2xfpTensor &t)
 {
     float ref[groupSize], vec[groupSize];
-    decodeWeightGroup(t, 0, 0, ref);
+    codecDecodeWeightGroup(t, 0, 0, ref);
     detail::decodeWeightGroupAvx512(t, 0, 0, vec);
     ASSERT_EQ(std::memcmp(ref, vec, sizeof(ref)), 0)
         << "avx512 weight decode diverges";
+    codecDecodeActivationGroup(t, 0, 0, ref);
+    detail::decodeActivationRowsAvx512(t, 0, 1, groupSize, vec);
+    ASSERT_EQ(std::memcmp(ref, vec, sizeof(ref)), 0)
+        << "avx512 activation decode diverges";
 }
 
 TEST(SimdDecodeAvx512, ExactForAllStreamBytes)
@@ -306,19 +312,31 @@ TEST(SimdDecodeAvx512, ExactRowDecodeOnRandomPackedTensors)
 {
     if (!simdIsaAvailable(SimdIsa::Avx512))
         GTEST_SKIP() << "AVX-512 unavailable on this machine";
+    ElemEmQuantizer aq = makeM2xfpActivationQuantizer();
     SgEmQuantizer wq = makeM2xfpWeightQuantizer();
     for (size_t k : {32u, 96u, 70u, 9u}) {
+        Matrix a = randomMatrix(5, k, 0xface + k, 4.0);
         Matrix w = randomMatrix(5, k, 0xcafe + k, 6.0);
+        PackedM2xfpTensor pa =
+            PackedM2xfpTensor::packActivations(a, aq);
         PackedM2xfpTensor pw = PackedM2xfpTensor::packWeights(w, wq);
         size_t padded_k = pw.groupsPerRow() * groupSize;
         std::vector<float> ref(padded_k), vec(padded_k);
         for (size_t r = 0; r < 5; ++r) {
-            decodeWeightRow(pw, r, ref.data());
-            detail::decodeWeightRowAvx512(pw, r, vec.data());
+            codecDecodeWeightRow(pw, r, ref.data());
+            detail::decodeWeightRowsAvx512(pw, r, 1, padded_k,
+                                           vec.data());
             ASSERT_EQ(std::memcmp(ref.data(), vec.data(),
                                   padded_k * sizeof(float)),
                       0)
                 << "weight row " << r << " k " << k;
+            codecDecodeActivationRow(pa, r, ref.data());
+            detail::decodeActivationRowsAvx512(pa, r, 1, padded_k,
+                                               vec.data());
+            ASSERT_EQ(std::memcmp(ref.data(), vec.data(),
+                                  padded_k * sizeof(float)),
+                      0)
+                << "activation row " << r << " k " << k;
         }
     }
 }

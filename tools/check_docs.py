@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Documentation health check, run by the CI docs job.
 
-Three guarantees:
+Four guarantees:
   1. Presence: the documentation entry points exist and README links
      to them (docs/ARCHITECTURE.md and docs/FORMATS.md are part of
      the repo's acceptance surface, not optional extras).
@@ -12,6 +12,10 @@ Three guarantees:
      "Runtime support matrix" section and the section must mention
      every registered packed codec, so a codec added to the runtime
      cannot ship undocumented.
+  4. The environment-variable table: the M2X_* names that code under
+     src/ reads with getenv must equal the rows of README's
+     environment-variable table, so a deleted knob cannot leave a
+     stale row and a new one cannot ship undocumented.
 
 Exits non-zero with one line per problem.
 """
@@ -50,6 +54,11 @@ PACKED_CODECS = ["elem_em", "elem_ee", "sg_em", "m2_nvfp4"]
 # Inline markdown links: [text](target). Reference-style links are
 # not used in this repo.
 LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
+
+# getenv("M2X_...") reads under src/, and README env-table rows.
+GETENV_RE = re.compile(r'getenv\(\s*"(M2X_[A-Z0-9_]+)"')
+ENV_ROW_RE = re.compile(r"^\|\s*`(M2X_[A-Z0-9_]+)`", re.MULTILINE)
+SOURCE_SUFFIXES = {".cc", ".hh", ".cpp", ".h"}
 
 # Directories that hold no tracked documentation.
 SKIP_DIRS = {"build", "build-asan", ".git"}
@@ -91,6 +100,20 @@ def check():
                 problems.append(
                     "docs/FORMATS.md runtime support matrix does "
                     f"not cover codec {codec}")
+
+    read = set()
+    for path in sorted((REPO / "src").rglob("*")):
+        if path.suffix in SOURCE_SUFFIXES:
+            read.update(GETENV_RE.findall(path.read_text()))
+    documented = set(ENV_ROW_RE.findall(readme_text))
+    for name in sorted(read - documented):
+        problems.append(
+            f"README.md environment-variable table lacks {name}, "
+            "which src/ reads")
+    for name in sorted(documented - read):
+        problems.append(
+            f"README.md environment-variable table documents {name}, "
+            "which nothing under src/ reads")
 
     n_links = 0
     for path in md_files():
