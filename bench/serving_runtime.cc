@@ -36,9 +36,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_common.hh"
@@ -52,14 +50,9 @@ namespace {
 
 using namespace m2x;
 using namespace m2x::runtime;
+using bench::hardwareThreads;
+using bench::JsonWriter;
 using bench::Stopwatch;
-
-unsigned
-hardwareThreads()
-{
-    unsigned hw = std::thread::hardware_concurrency();
-    return hw >= 1 ? hw : 1;
-}
 
 int
 argmaxRow(const Matrix &logits, size_t row)
@@ -232,25 +225,9 @@ verifyParity()
 int
 main(int argc, char **argv)
 {
-    bool quick = false;
-    std::string out_path = "BENCH_serving.json";
-    std::string trace_path;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--quick") == 0) {
-            quick = true;
-        } else if (std::strcmp(argv[i], "--out") == 0 &&
-                   i + 1 < argc) {
-            out_path = argv[++i];
-        } else if (std::strcmp(argv[i], "--trace") == 0 &&
-                   i + 1 < argc) {
-            trace_path = argv[++i];
-        } else {
-            m2x_fatal("usage: %s [--quick] [--out PATH] "
-                      "[--trace PATH]", argv[0]);
-        }
-    }
-    if (!trace_path.empty())
-        telemetry::traceStart(trace_path);
+    bench::RuntimeBenchArgs args =
+        bench::parseRuntimeBenchArgs(argc, argv, "BENCH_serving.json");
+    const bool quick = args.quick;
 
     bench::banner("SERVING",
                   "continuous batching over the paged packed KV "
@@ -345,67 +322,62 @@ main(int argc, char **argv)
                "packed arena concurrency multiplier %.2f below the "
                "4x acceptance floor", cap_ratio);
 
-    FILE *out = std::fopen(out_path.c_str(), "w");
-    if (!out)
-        m2x_fatal("cannot open '%s' for writing", out_path.c_str());
-    std::fprintf(
-        out,
-        "{\n"
-        "  \"bench\": \"serving_runtime\",\n"
-        "  \"quick\": %s,\n"
-        "  \"hardware_threads\": %u,\n"
-        "  \"serving\": {\n"
-        "    \"model\": \"%s\", \"layers\": %u, \"d_model\": %u,\n"
-        "    \"workload\": \"poisson\", \"seed\": %llu, "
-        "\"requests\": %zu,\n"
-        "    \"mean_gap_steps\": %.2f, "
-        "\"prompt_tokens\": [%zu, %zu], "
-        "\"gen_tokens\": [%zu, %zu],\n"
-        "    \"page_rows\": %zu, \"arena_pages\": %zu, "
-        "\"arena_bytes\": %zu,\n"
-        "    \"max_batch\": %zu, \"threads\": %u, "
-        "\"isa\": \"%s\",\n"
-        "    \"modes\": [",
-        quick ? "true" : "false", hardwareThreads(), mc.name.c_str(),
-        mc.nLayers, mc.dModel,
-        static_cast<unsigned long long>(seed), requests, mean_gap,
-        prompt_lo, prompt_hi, gen_lo, gen_hi, page_rows, arena_pages,
-        arena_bytes, max_batch, threads, activeSimdIsaName());
+    JsonWriter json(args.outPath);
+    json.object()
+        .field("bench", "serving_runtime")
+        .field("quick", quick)
+        .field("hardware_threads", hardwareThreads())
+        .object("serving")
+        .field("model", mc.name)
+        .field("layers", mc.nLayers)
+        .field("d_model", mc.dModel)
+        .field("workload", "poisson")
+        .field("seed", seed)
+        .field("requests", requests)
+        .fixed("mean_gap_steps", mean_gap, 2)
+        .array("prompt_tokens")
+        .field(nullptr, prompt_lo)
+        .field(nullptr, prompt_hi)
+        .end()
+        .array("gen_tokens")
+        .field(nullptr, gen_lo)
+        .field(nullptr, gen_hi)
+        .end()
+        .field("page_rows", page_rows)
+        .field("arena_pages", arena_pages)
+        .field("arena_bytes", arena_bytes)
+        .field("max_batch", max_batch)
+        .field("threads", threads)
+        .field("isa", activeSimdIsaName())
+        .array("modes");
     for (int mi = 0; mi < 2; ++mi) {
         const RunResult &r = res[mi];
-        std::fprintf(
-            out,
-            "%s\n      {\"kv_cache\": \"%s\", "
-            "\"arena_pages\": %zu,\n"
-            "       \"wall_s\": %.6e, \"generated_tokens\": %zu, "
-            "\"tokens_per_s\": %.3f,\n"
-            "       \"ttft_p50_s\": %.6e, \"ttft_p99_s\": %.6e,\n"
-            "       \"token_p50_s\": %.6e, \"token_p99_s\": %.6e,\n"
-            "       \"occupancy_mean\": %.4f, "
-            "\"occupancy_peak\": %.4f,\n"
-            "       \"peak_active\": %zu, \"preemptions\": %zu, "
-            "\"steps\": %zu,\n"
-            "       \"high_water_pages\": %zu, "
-            "\"resident_bytes\": %zu, "
-            "\"capacity_requests\": %zu}",
-            mi ? "," : "", kvCacheModeName(modes[mi]), r.arenaPages,
-            r.wallS, r.generated, r.tokensPerS, r.ttftP50, r.ttftP99,
-            r.tokenP50, r.tokenP99, r.occMean, r.occPeak,
-            r.peakActive, r.preemptions, r.steps, r.highWaterPages,
-            r.residentBytes, r.capacityRequests);
+        json.object()
+            .field("kv_cache", kvCacheModeName(modes[mi]))
+            .field("arena_pages", r.arenaPages)
+            .sci("wall_s", r.wallS)
+            .field("generated_tokens", r.generated)
+            .fixed("tokens_per_s", r.tokensPerS)
+            .sci("ttft_p50_s", r.ttftP50)
+            .sci("ttft_p99_s", r.ttftP99)
+            .sci("token_p50_s", r.tokenP50)
+            .sci("token_p99_s", r.tokenP99)
+            .fixed("occupancy_mean", r.occMean, 4)
+            .fixed("occupancy_peak", r.occPeak, 4)
+            .field("peak_active", r.peakActive)
+            .field("preemptions", r.preemptions)
+            .field("steps", r.steps)
+            .field("high_water_pages", r.highWaterPages)
+            .field("resident_bytes", r.residentBytes)
+            .field("capacity_requests", r.capacityRequests)
+            .end();
     }
-    std::fprintf(out,
-                 "\n    ],\n"
-                 "    \"packed_vs_fp32_tokens_per_s\": %.3f,\n"
-                 "    \"concurrent_vs_fp32_capacity\": %.3f\n"
-                 "  }\n}\n",
-                 tps_ratio, cap_ratio);
-    std::fclose(out);
-    std::printf("\nwrote %s\n", out_path.c_str());
-    if (!trace_path.empty()) {
-        size_t n = telemetry::traceStop();
-        std::printf("wrote %zu trace events to %s\n", n,
-                    trace_path.c_str());
-    }
+    json.end()
+        .fixed("packed_vs_fp32_tokens_per_s", tps_ratio)
+        .fixed("concurrent_vs_fp32_capacity", cap_ratio)
+        .end()
+        .end()
+        .close();
+    bench::finishTrace(args);
     return 0;
 }

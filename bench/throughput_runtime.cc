@@ -7,8 +7,9 @@
  * PackedLinear forward vs the reference quantized path — with the
  * quantize/GEMM wall-time split — at several shapes and thread
  * counts (1/2/4/8 capped at the hardware width), plus a
- * per-block-size MC/KC/NC sweep, a whole-model InferenceSession run
- * and an autoregressive decode run (tokens/s and resident KV bytes
+ * per-block-size MC/KC/NC sweep, a whole-model packed forward (a
+ * TinyTransformer rebuilt through packedLinearFactory) and an
+ * autoregressive decode run (tokens/s and resident KV bytes
  * per token, packed M2XFP cache vs the fp32-cache oracle
  * baseline). Writes the machine-readable BENCH_runtime.json — the
  * repo's perf trajectory point for the execution runtime, including
@@ -42,9 +43,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_common.hh"
@@ -67,6 +66,8 @@ namespace {
 
 using namespace m2x;
 using namespace m2x::runtime;
+using bench::hardwareThreads;
+using bench::JsonWriter;
 using bench::Stopwatch;
 
 Matrix
@@ -182,14 +183,6 @@ requireMatch(const Matrix &got, const Matrix &want, SimdIsa isa,
         requireBitExact(got, want, what);
     else
         requireClose(got, want, rel, what);
-}
-
-/** The machine's true parallel capacity (never the M2X_THREADS knob). */
-unsigned
-hardwareThreads()
-{
-    unsigned hw = std::thread::hardware_concurrency();
-    return hw >= 1 ? hw : 1;
 }
 
 /**
@@ -311,25 +304,9 @@ runFixedBatch(const model::ModelConfig &mc, ServingConfig cfg,
 int
 main(int argc, char **argv)
 {
-    bool quick = false;
-    std::string out_path = "BENCH_runtime.json";
-    std::string trace_path;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--quick") == 0) {
-            quick = true;
-        } else if (std::strcmp(argv[i], "--out") == 0 &&
-                   i + 1 < argc) {
-            out_path = argv[++i];
-        } else if (std::strcmp(argv[i], "--trace") == 0 &&
-                   i + 1 < argc) {
-            trace_path = argv[++i];
-        } else {
-            m2x_fatal("usage: %s [--quick] [--out PATH] "
-                      "[--trace PATH]", argv[0]);
-        }
-    }
-    if (!trace_path.empty())
-        runtime::telemetry::traceStart(trace_path);
+    bench::RuntimeBenchArgs args =
+        bench::parseRuntimeBenchArgs(argc, argv, "BENCH_runtime.json");
+    const bool quick = args.quick;
 
     bench::banner("RUNTIME", "packed-domain execution throughput");
     double min_s = quick ? 0.02 : 0.2;
@@ -363,22 +340,18 @@ main(int argc, char **argv)
         std::printf(" %s", simdIsaName(isa));
     std::printf(")\n\n");
 
-    FILE *out = std::fopen(out_path.c_str(), "w");
-    if (!out)
-        m2x_fatal("cannot open '%s' for writing", out_path.c_str());
-    std::fprintf(out,
-                 "{\n"
-                 "  \"bench\": \"throughput_runtime\",\n"
-                 "  \"quick\": %s,\n"
-                 "  \"hardware_threads\": %u,\n"
-                 "  \"default_threads\": %u,\n"
-                 "  \"simd\": {\"active\": \"%s\", \"supported\": [",
-                 quick ? "true" : "false", hardwareThreads(),
-                 ThreadPool::defaultThreads(), activeSimdIsaName());
-    for (size_t i = 0; i < isas.size(); ++i)
-        std::fprintf(out, "%s\"%s\"", i ? ", " : "",
-                     simdIsaName(isas[i]));
-    std::fprintf(out, "]},\n  \"gemm\": [");
+    JsonWriter json(args.outPath);
+    json.object()
+        .field("bench", "throughput_runtime")
+        .field("quick", quick)
+        .field("hardware_threads", hardwareThreads())
+        .field("default_threads", ThreadPool::defaultThreads())
+        .object("simd")
+        .field("active", activeSimdIsaName())
+        .array("supported");
+    for (SimdIsa isa : isas)
+        json.field(nullptr, simdIsaName(isa));
+    json.end().end().array("gemm");
 
     ElemEmQuantizer aq = makeM2xfpActivationQuantizer();
     SgEmQuantizer wq = makeM2xfpWeightQuantizer();
@@ -420,22 +393,22 @@ main(int argc, char **argv)
 
         size_t dense_a = sh.m * sh.k * sizeof(float);
         size_t dense_w = sh.n * sh.k * sizeof(float);
-        std::fprintf(
-            out,
-            "%s\n    {\"m\": %zu, \"n\": %zu, \"k\": %zu,\n"
-            "     \"bytes_packed_a\": %zu, \"bytes_packed_w\": %zu,\n"
-            "     \"bytes_dense_a\": %zu, \"bytes_dense_w\": %zu,\n"
-            "     \"bits_per_element\": %.3f,\n"
-            "     \"ref_gemm_s\": %.6e, \"ref_gemm_gflops\": %.3f,\n"
-            "     \"unpack_gemm_s\": %.6e,\n"
-            "     \"results\": [",
-            si ? "," : "", sh.m, sh.n, sh.k, pa.totalBytes(),
-            pw.totalBytes(), dense_a, dense_w, pw.bitsPerElement(),
-            ref_s, gflops(sh.m, sh.n, sh.k, ref_s), unpack_s);
+        json.object()
+            .field("m", sh.m)
+            .field("n", sh.n)
+            .field("k", sh.k)
+            .field("bytes_packed_a", pa.totalBytes())
+            .field("bytes_packed_w", pw.totalBytes())
+            .field("bytes_dense_a", dense_a)
+            .field("bytes_dense_w", dense_w)
+            .fixed("bits_per_element", pw.bitsPerElement())
+            .sci("ref_gemm_s", ref_s)
+            .fixed("ref_gemm_gflops", gflops(sh.m, sh.n, sh.k, ref_s))
+            .sci("unpack_gemm_s", unpack_s)
+            .array("results");
 
         // Indexed by SimdIsa: [scalar, avx2, avx512].
         double single_thread_s[3] = {0.0, 0.0, 0.0};
-        bool first_entry = true;
         for (SimdIsa isa : isas) {
             for (unsigned tc : counts) {
                 if (sh.m <= decode_sized_m && tc != 1)
@@ -451,46 +424,34 @@ main(int argc, char **argv)
                             simdIsaName(isa), tc,
                             gflops(sh.m, sh.n, sh.k, s), ref_s / s,
                             unpack_s / s);
-                std::fprintf(out,
-                             "%s\n      {\"isa\": \"%s\", "
-                             "\"threads\": %u, "
-                             "\"packed_gemm_s\": %.6e, "
-                             "\"gflops\": %.3f, "
-                             "\"speedup_vs_ref_gemm\": %.3f, "
-                             "\"speedup_vs_unpack_gemm\": %.3f}",
-                             first_entry ? "" : ",",
-                             simdIsaName(isa), tc, s,
-                             gflops(sh.m, sh.n, sh.k, s), ref_s / s,
-                             unpack_s / s);
-                first_entry = false;
+                json.object()
+                    .field("isa", simdIsaName(isa))
+                    .field("threads", tc)
+                    .sci("packed_gemm_s", s)
+                    .fixed("gflops", gflops(sh.m, sh.n, sh.k, s))
+                    .fixed("speedup_vs_ref_gemm", ref_s / s)
+                    .fixed("speedup_vs_unpack_gemm", unpack_s / s)
+                    .end();
             }
         }
-        std::fprintf(out, "\n    ]");
-        if (single_thread_s[1] > 0.0) {
-            double ratio =
-                single_thread_s[0] / single_thread_s[1];
-            std::printf("  avx2 vs scalar @1 thread: %.2fx\n",
-                        ratio);
-            std::fprintf(out,
-                         ",\n     \"avx2_vs_scalar_1t\": %.3f",
-                         ratio);
+        json.end();
+        for (SimdIsa isa : {SimdIsa::Avx2, SimdIsa::Avx512}) {
+            double s = single_thread_s[static_cast<size_t>(isa)];
+            if (s <= 0.0)
+                continue;
+            std::string name = simdIsaName(isa);
+            std::printf("  %s vs scalar @1 thread: %.2fx\n",
+                        name.c_str(), single_thread_s[0] / s);
+            json.fixed((name + "_vs_scalar_1t").c_str(),
+                       single_thread_s[0] / s);
         }
-        if (single_thread_s[2] > 0.0) {
-            double ratio =
-                single_thread_s[0] / single_thread_s[2];
-            std::printf("  avx512 vs scalar @1 thread: %.2fx\n",
-                        ratio);
-            std::fprintf(out,
-                         ",\n     \"avx512_vs_scalar_1t\": %.3f",
-                         ratio);
-        }
-        std::fprintf(out, "}");
+        json.end();
     }
 
     // Per-block-size sweep: the blocked driver's MC/KC/NC space on
     // the best available tier at 1 thread — the data behind the
     // per-ISA default blocking choices.
-    std::fprintf(out, "\n  ],\n  \"gemm_block_sweep\": {");
+    json.end().object("gemm_block_sweep");
     {
         Shape sw = quick ? Shape{16, 192, 192}
                          : Shape{512, 512, 512};
@@ -513,11 +474,12 @@ main(int argc, char **argv)
                                      {256, 256, 256},
                                      {128, 512, 256}};
         ThreadPool sweep_pool(1);
-        std::fprintf(out,
-                     "\n    \"m\": %zu, \"n\": %zu, \"k\": %zu, "
-                     "\"isa\": \"%s\", \"threads\": 1,\n"
-                     "    \"rows\": [",
-                     sw.m, sw.n, sw.k, simdIsaName(sweep_isa));
+        json.field("m", sw.m)
+            .field("n", sw.n)
+            .field("k", sw.k)
+            .field("isa", simdIsaName(sweep_isa))
+            .field("threads", 1)
+            .array("rows");
         Matrix sweep_out;
         for (size_t ci = 0; ci < cfgs.size(); ++ci) {
             detail::GemmBlocking blk = detail::normalizeBlocking(
@@ -533,14 +495,15 @@ main(int argc, char **argv)
                         "%6.1f GF\n",
                         blk.mc, blk.kc, blk.nc,
                         gflops(sw.m, sw.n, sw.k, s));
-            std::fprintf(out,
-                         "%s\n      {\"mc\": %zu, \"kc\": %zu, "
-                         "\"nc\": %zu, \"gemm_s\": %.6e, "
-                         "\"gflops\": %.3f}",
-                         ci ? "," : "", blk.mc, blk.kc, blk.nc, s,
-                         gflops(sw.m, sw.n, sw.k, s));
+            json.object()
+                .field("mc", blk.mc)
+                .field("kc", blk.kc)
+                .field("nc", blk.nc)
+                .sci("gemm_s", s)
+                .fixed("gflops", gflops(sw.m, sw.n, sw.k, s))
+                .end();
         }
-        std::fprintf(out, "\n    ]\n  },\n  \"pack_activations\": [");
+        json.end().end().array("pack_activations");
     }
 
     // Online activation packing: the forward hot path's encode side.
@@ -565,19 +528,16 @@ main(int argc, char **argv)
             static_cast<double>(sh.m * sh.k) * sizeof(float);
         std::printf("pack %zux%zu  functional %.3f GB/s\n", sh.m,
                     sh.k, bytes / func_s * 1e-9);
-        std::fprintf(out,
-                     "%s\n    {\"rows\": %zu, \"cols\": %zu, "
-                     "\"input_bytes\": %zu,\n"
-                     "     \"functional_pack_s\": %.6e, "
-                     "\"functional_gb_per_s\": %.3f,\n"
-                     "     \"results\": [",
-                     si ? "," : "", sh.m, sh.k,
-                     sh.m * sh.k * sizeof(float), func_s,
-                     bytes / func_s * 1e-9);
+        json.object()
+            .field("rows", sh.m)
+            .field("cols", sh.k)
+            .field("input_bytes", sh.m * sh.k * sizeof(float))
+            .sci("functional_pack_s", func_s)
+            .fixed("functional_gb_per_s", bytes / func_s * 1e-9)
+            .array("results");
 
         // Indexed by SimdIsa: [scalar, avx2, avx512].
         double single_thread_s[3] = {0.0, 0.0, 0.0};
-        bool first_entry = true;
         for (SimdIsa isa : isas) {
             for (unsigned tc : counts) {
                 if (sh.m <= decode_sized_m && tc != 1)
@@ -596,48 +556,34 @@ main(int argc, char **argv)
                             "(%.2fx functional)\n",
                             simdIsaName(isa), tc, bytes / s * 1e-9,
                             func_s / s);
-                std::fprintf(out,
-                             "%s\n      {\"isa\": \"%s\", "
-                             "\"threads\": %u, "
-                             "\"pack_s\": %.6e, "
-                             "\"gb_per_s\": %.3f, "
-                             "\"speedup_vs_functional\": %.3f}",
-                             first_entry ? "" : ",",
-                             simdIsaName(isa), tc, s,
-                             bytes / s * 1e-9, func_s / s);
-                first_entry = false;
+                json.object()
+                    .field("isa", simdIsaName(isa))
+                    .field("threads", tc)
+                    .sci("pack_s", s)
+                    .fixed("gb_per_s", bytes / s * 1e-9)
+                    .fixed("speedup_vs_functional", func_s / s)
+                    .end();
             }
         }
-        std::fprintf(out, "\n    ]");
+        json.end();
         if (single_thread_s[0] > 0.0)
-            std::fprintf(out,
-                         ",\n     \"scalar_vs_functional_1t\": %.3f",
-                         func_s / single_thread_s[0]);
-        if (single_thread_s[1] > 0.0) {
-            std::printf("  avx2 vs scalar @1 thread: %.2fx, "
+            json.fixed("scalar_vs_functional_1t",
+                       func_s / single_thread_s[0]);
+        for (SimdIsa isa : {SimdIsa::Avx2, SimdIsa::Avx512}) {
+            double s = single_thread_s[static_cast<size_t>(isa)];
+            if (s <= 0.0)
+                continue;
+            std::string name = simdIsaName(isa);
+            std::printf("  %s vs scalar @1 thread: %.2fx, "
                         "vs functional: %.2fx\n",
-                        single_thread_s[0] / single_thread_s[1],
-                        func_s / single_thread_s[1]);
-            std::fprintf(out,
-                         ",\n     \"avx2_vs_scalar_1t\": %.3f"
-                         ",\n     \"avx2_vs_functional_1t\": %.3f",
-                         single_thread_s[0] / single_thread_s[1],
-                         func_s / single_thread_s[1]);
+                        name.c_str(), single_thread_s[0] / s, func_s / s);
+            json.fixed((name + "_vs_scalar_1t").c_str(),
+                       single_thread_s[0] / s)
+                .fixed((name + "_vs_functional_1t").c_str(), func_s / s);
         }
-        if (single_thread_s[2] > 0.0) {
-            std::printf("  avx512 vs scalar @1 thread: %.2fx, "
-                        "vs functional: %.2fx\n",
-                        single_thread_s[0] / single_thread_s[2],
-                        func_s / single_thread_s[2]);
-            std::fprintf(out,
-                         ",\n     \"avx512_vs_scalar_1t\": %.3f"
-                         ",\n     \"avx512_vs_functional_1t\": %.3f",
-                         single_thread_s[0] / single_thread_s[2],
-                         func_s / single_thread_s[2]);
-        }
-        std::fprintf(out, "}");
+        json.end();
     }
-    std::fprintf(out, "\n  ],\n  \"forward\": [");
+    json.end().array("forward");
 
     // Layer-level forward: reference QuantizedLinear (online act
     // quantization + dense GEMM) vs PackedLinear (online packing +
@@ -655,13 +601,13 @@ main(int argc, char **argv)
         double ref_s =
             timeIt([&] { ref_lin.forward(x); }, min_s);
 
-        std::fprintf(out,
-                     "%s\n    {\"m\": %zu, \"n\": %zu, \"k\": %zu,\n"
-                     "     \"isa\": \"%s\",\n"
-                     "     \"ref_quantized_forward_s\": %.6e,\n"
-                     "     \"results\": [",
-                     si ? "," : "", sh.m, sh.n, sh.k,
-                     activeSimdIsaName(), ref_s);
+        json.object()
+            .field("m", sh.m)
+            .field("n", sh.n)
+            .field("k", sh.k)
+            .field("isa", activeSimdIsaName())
+            .sci("ref_quantized_forward_s", ref_s)
+            .array("results");
         for (size_t ci = 0; ci < counts.size(); ++ci) {
             ThreadPool pool(counts[ci]);
             PackedLinear packed(w, {}, &pool);
@@ -685,19 +631,20 @@ main(int argc, char **argv)
                         "%.2fx reference (%.0f%% quantize)\n",
                         sh.m, sh.n, sh.k, counts[ci], ref_s / s,
                         100.0 * qfrac);
-            std::fprintf(out,
-                         "%s\n      {\"threads\": %u, "
-                         "\"packed_forward_s\": %.6e, "
-                         "\"quantize_s\": %.6e, "
-                         "\"gemm_s\": %.6e, "
-                         "\"speedup_vs_ref\": %.3f}",
-                         ci ? "," : "", counts[ci], s, s * qfrac,
-                         s * (1.0 - qfrac), ref_s / s);
+            json.object()
+                .field("threads", counts[ci])
+                .sci("packed_forward_s", s)
+                .sci("quantize_s", s * qfrac)
+                .sci("gemm_s", s * (1.0 - qfrac))
+                .fixed("speedup_vs_ref", ref_s / s)
+                .end();
         }
-        std::fprintf(out, "\n    ]}");
+        json.end().end();
     }
+    json.end();
 
-    // Whole-model serving: an InferenceSession over a zoo model.
+    // Whole-model forward: a zoo model whose every linear is a
+    // PackedLinear behind a timing shim.
     model::ModelConfig mc = model::llama2_7b();
     if (quick) {
         mc.nLayers = 1;
@@ -732,65 +679,68 @@ main(int argc, char **argv)
         min_s);
 
     // Honors M2X_THREADS (and the machine) like every default pool.
+    // The codec is pinned to the reference model's elem_em pair,
+    // whatever M2X_FORMAT picks for the session-level defaults.
     unsigned model_threads = ThreadPool::defaultThreads();
-    InferenceSession session(mc, {.threads = model_threads});
+    ThreadPool model_pool(model_threads);
+    std::vector<std::shared_ptr<LayerStats>> stats;
+    model::TinyTransformer packed_model(mc);
+    packed_model.rebuild(packedLinearFactory({}, &model_pool, &stats,
+                                             activeSimdIsa(),
+                                             PackedCodec::ElemEm));
+    auto forward_batch = [&] {
+        for (const auto &seq : batch)
+            packed_model.forwardLogits(seq);
+    };
     // Model-level check: vector-tier differences pass through
     // layernorm/softmax, so the tolerance is a little looser than
     // the raw GEMM contract.
-    requireMatch(session.forward(batch[0]),
-                 ref_model.forwardLogits(batch[0]),
-                 session.simdIsa(), 1e-5, "model logits");
-    double packed_model_s = timeIt(
-        [&] { session.forwardBatch(batch); }, min_s);
+    requireMatch(packed_model.forwardLogits(batch[0]),
+                 ref_model.forwardLogits(batch[0]), activeSimdIsa(),
+                 1e-5, "model logits");
+    double packed_model_s = timeIt(forward_batch, min_s);
     // Re-run exactly one batch on zeroed counters so the per-layer
     // stats below describe a known workload (not the verify pass and
     // timing reps above).
-    session.resetStats();
-    session.forwardBatch(batch);
+    size_t packed_bytes = 0, dense_bytes = 0;
+    for (auto &st : stats) {
+        st->reset();
+        packed_bytes += st->packedBytes;
+        dense_bytes += st->denseBytes;
+    }
+    forward_batch();
 
     std::printf("model %s  batch %zu x %zu tokens  @%u threads "
                 "(%s): %.2fx reference, weights %zu -> %zu bytes\n",
                 mc.name.c_str(), batch.size(), seq_len,
-                model_threads, simdIsaName(session.simdIsa()),
-                ref_model_s / packed_model_s,
-                session.denseWeightBytes(),
-                session.packedWeightBytes());
+                model_threads, activeSimdIsaName(),
+                ref_model_s / packed_model_s, dense_bytes,
+                packed_bytes);
 
-    std::fprintf(
-        out,
-        "\n  ],\n"
-        "  \"model\": {\n"
-        "    \"name\": \"%s\", \"batch\": %zu, \"seq_len\": %zu,\n"
-        "    \"threads\": %u, \"isa\": \"%s\",\n"
-        "    \"ref_forward_s\": %.6e,\n"
-        "    \"packed_forward_s\": %.6e,\n"
-        "    \"speedup_vs_ref\": %.3f,\n"
-        "    \"packed_weight_bytes\": %zu,\n"
-        "    \"dense_weight_bytes\": %zu,\n"
-        "    \"layers\": [",
-        mc.name.c_str(), batch.size(), seq_len, model_threads,
-        simdIsaName(session.simdIsa()), ref_model_s, packed_model_s,
-        ref_model_s / packed_model_s, session.packedWeightBytes(),
-        session.denseWeightBytes());
-    const auto &stats = session.layerStats();
-    for (size_t i = 0; i < stats.size(); ++i) {
-        const auto &st = stats[i];
-        std::fprintf(out,
-                     "%s\n      {\"name\": \"%s\", \"isa\": \"%s\", "
-                     "\"calls\": %llu, "
-                     "\"seconds\": %.6e, "
-                     "\"quantize_s\": %.6e, \"gemm_s\": %.6e, "
-                     "\"gflops\": %.3f, "
-                     "\"packed_bytes\": %zu}",
-                     i ? "," : "", st->name.c_str(),
-                     st->isa.c_str(),
-                     static_cast<unsigned long long>(
-                         st->calls.load()),
-                     st->seconds(), st->quantizeSeconds(),
-                     st->gemmSeconds(), st->gflops(),
-                     st->packedBytes);
-    }
-    std::fprintf(out, "\n    ]\n  },\n  \"decode\": ");
+    json.object("model")
+        .field("name", mc.name)
+        .field("batch", batch.size())
+        .field("seq_len", seq_len)
+        .field("threads", model_threads)
+        .field("isa", activeSimdIsaName())
+        .sci("ref_forward_s", ref_model_s)
+        .sci("packed_forward_s", packed_model_s)
+        .fixed("speedup_vs_ref", ref_model_s / packed_model_s)
+        .field("packed_weight_bytes", packed_bytes)
+        .field("dense_weight_bytes", dense_bytes)
+        .array("layers");
+    for (const auto &st : stats)
+        json.object()
+            .field("name", st->name)
+            .field("isa", st->isa)
+            .field("calls", st->calls.load())
+            .sci("seconds", st->seconds())
+            .sci("quantize_s", st->quantizeSeconds())
+            .sci("gemm_s", st->gemmSeconds())
+            .fixed("gflops", st->gflops())
+            .field("packed_bytes", st->packedBytes)
+            .end();
+    json.end().end();
 
     // Autoregressive decode: a fixed batch through the serving
     // engine, prefilled once and then generated token by token
@@ -860,17 +810,16 @@ main(int argc, char **argv)
         size_t decode_steps = quick ? 4 : 32;
         unsigned dec_threads = ThreadPool::defaultThreads();
 
-        std::fprintf(out,
-                     "{\n"
-                     "    \"model\": \"%s\", \"layers\": %u, "
-                     "\"d_model\": %u,\n"
-                     "    \"batch\": %zu, \"prefill_tokens\": %zu, "
-                     "\"decode_steps\": %zu,\n"
-                     "    \"threads\": %u, \"isa\": \"%s\",\n"
-                     "    \"modes\": [",
-                     dc.name.c_str(), dc.nLayers, dc.dModel, batch,
-                     prefill_tokens, decode_steps, dec_threads,
-                     activeSimdIsaName());
+        json.object("decode")
+            .field("model", dc.name)
+            .field("layers", dc.nLayers)
+            .field("d_model", dc.dModel)
+            .field("batch", batch)
+            .field("prefill_tokens", prefill_tokens)
+            .field("decode_steps", decode_steps)
+            .field("threads", dec_threads)
+            .field("isa", activeSimdIsaName())
+            .array("modes");
 
         double tokens_per_s[2] = {0.0, 0.0}; // [fp32, packed]
         KvCacheMode modes[2] = {KvCacheMode::Fp32,
@@ -902,33 +851,26 @@ main(int argc, char **argv)
                         prefill_tokens, decode_steps, dec_threads,
                         tps, bpt, bits_per_elem, r.p50S * 1e3,
                         r.p95S * 1e3, r.p99S * 1e3, 100.0 * pool_util);
-            std::fprintf(out,
-                         "%s\n      {\"kv_cache\": \"%s\", "
-                         "\"prefill_s\": %.6e, "
-                         "\"decode_s\": %.6e, "
-                         "\"tokens_per_s\": %.3f, "
-                         "\"attend_s\": %.6e,\n"
-                         "       \"step_latency_p50_s\": %.6e, "
-                         "\"step_latency_p95_s\": %.6e, "
-                         "\"step_latency_p99_s\": %.6e,\n"
-                         "       \"pool_busy_s\": %.6e, "
-                         "\"pool_utilization\": %.4f,\n"
-                         "       \"kv_bytes\": %zu, "
-                         "\"kv_bytes_per_token\": %.3f, "
-                         "\"kv_bits_per_element\": %.4f}",
-                         mi ? "," : "", kvCacheModeName(mode),
-                         r.prefillS, r.decodeS, tps, r.attendS,
-                         r.p50S, r.p95S, r.p99S, r.poolBusyS,
-                         pool_util, r.kvBytes, bpt, bits_per_elem);
+            json.object()
+                .field("kv_cache", kvCacheModeName(mode))
+                .sci("prefill_s", r.prefillS)
+                .sci("decode_s", r.decodeS)
+                .fixed("tokens_per_s", tps)
+                .sci("attend_s", r.attendS)
+                .sci("step_latency_p50_s", r.p50S)
+                .sci("step_latency_p95_s", r.p95S)
+                .sci("step_latency_p99_s", r.p99S)
+                .sci("pool_busy_s", r.poolBusyS)
+                .fixed("pool_utilization", pool_util, 4)
+                .field("kv_bytes", r.kvBytes)
+                .fixed("kv_bytes_per_token", bpt)
+                .fixed("kv_bits_per_element", bits_per_elem, 4)
+                .end();
         }
         double ratio = tokens_per_s[1] / tokens_per_s[0];
         std::printf("decode packed vs fp32 cache: %.2fx tokens/s\n",
                     ratio);
-        std::fprintf(out,
-                     "\n    ],\n"
-                     "    \"packed_vs_fp32_tokens_per_s\": %.3f\n"
-                     "  },\n  \"long_context\": {",
-                     ratio);
+        json.end().fixed("packed_vs_fp32_tokens_per_s", ratio).end();
     }
 
     // Long-context attend: the packed flash attend against the fp32
@@ -959,10 +901,10 @@ main(int argc, char **argv)
                                         65536};
         ThreadPool pool1(1);
         Matrix lq = randomMatrix(1, lc_d, 81, 4.0);
-        std::fprintf(out,
-                     "\n    \"d_model\": %zu, \"heads\": %u,\n"
-                     "    \"rows\": [",
-                     lc_d, lc_heads);
+        json.object("long_context")
+            .field("d_model", lc_d)
+            .field("heads", lc_heads)
+            .array("rows");
         // [packed, fp32]: the packed cache encodes kv_rows on
         // append, the fp32 oracle holds their decoded values.
         KvCache caches[2] = {KvCache(1, lc_d, KvCacheMode::Packed),
@@ -975,7 +917,6 @@ main(int argc, char **argv)
         const Matrix *appended[2] = {&kv_rows, &kv_deq};
         size_t scratch_first[2] = {0, 0};
         std::vector<double> ratios;
-        bool first_row = true;
         for (size_t ctx_len : contexts) {
             Matrix outs[2] = {Matrix(1, lc_d), Matrix(1, lc_d)};
             auto attend = [&](int mi) {
@@ -1034,19 +975,17 @@ main(int argc, char **argv)
                             "%.0f KV B/token\n",
                             mode, ctx_len, 1.0 / secs[mi],
                             scratch[mi], bpt);
-                std::fprintf(
-                    out,
-                    "%s\n      {\"context\": %zu, \"mode\": \"%s\", "
-                    "\"isa\": \"%s\", \"threads\": 1, "
-                    "\"window_s\": %.3f,\n"
-                    "       \"flash_attend_s\": %.6e, "
-                    "\"attends_per_s\": %.3f, "
-                    "\"scratch_bytes\": %zu, "
-                    "\"kv_bytes_per_token\": %.3f}",
-                    first_row ? "" : ",", ctx_len, mode,
-                    activeSimdIsaName(), lc_min_s, secs[mi],
-                    1.0 / secs[mi], scratch[mi], bpt);
-                first_row = false;
+                json.object()
+                    .field("context", ctx_len)
+                    .field("mode", mode)
+                    .field("isa", activeSimdIsaName())
+                    .field("threads", 1)
+                    .fixed("window_s", lc_min_s)
+                    .sci("flash_attend_s", secs[mi])
+                    .fixed("attends_per_s", 1.0 / secs[mi])
+                    .field("scratch_bytes", scratch[mi])
+                    .fixed("kv_bytes_per_token", bpt)
+                    .end();
             }
             std::printf("long-context packed vs fp32 ctx %6zu: "
                         "%.2fx\n",
@@ -1054,15 +993,16 @@ main(int argc, char **argv)
         }
         // Same-run packed-vs-fp32 attend ratio per context (resident
         // decode bandwidth is what separates them at long context).
-        std::fprintf(out, "\n    ],\n    \"packed_vs_fp32\": [");
+        json.end().array("packed_vs_fp32");
         for (size_t ci = 0; ci < contexts.size(); ++ci)
-            std::fprintf(out,
-                         "%s\n      {\"context\": %zu, "
-                         "\"window_s\": %.3f, \"isa\": \"%s\", "
-                         "\"threads\": 1, \"ratio\": %.3f}",
-                         ci ? "," : "", contexts[ci], lc_min_s,
-                         activeSimdIsaName(), ratios[ci]);
-        std::fprintf(out, "\n    ]\n  },\n  \"cross_format\": [");
+            json.object()
+                .field("context", contexts[ci])
+                .fixed("window_s", lc_min_s)
+                .field("isa", activeSimdIsaName())
+                .field("threads", 1)
+                .fixed("ratio", ratios[ci])
+                .end();
+        json.end().end();
     }
 
     // Cross-format runtime: every registered codec through the
@@ -1138,27 +1078,20 @@ main(int argc, char **argv)
                   [](const FormatRow &a, const FormatRow &b) {
                       return a.rel_rmse < b.rel_rmse;
                   });
-        for (size_t i = 0; i < rows.size(); ++i)
-            std::fprintf(out,
-                         "%s\n    {\"format\": \"%s\", "
-                         "\"bits_per_element\": %.4f, "
-                         "\"gemm_rmse_vs_fp32\": %.6e, "
-                         "\"gemm_rel_rmse_vs_fp32\": %.6e, "
-                         "\"decode_tokens_per_s\": %.3f, "
-                         "\"isa\": \"%s\", \"threads\": %u}",
-                         i ? "," : "",
-                         packedCodecName(rows[i].codec),
-                         rows[i].bits, rows[i].rmse,
-                         rows[i].rel_rmse, rows[i].tps,
-                         activeSimdIsaName(), cf_threads);
-        std::fprintf(out, "\n  ]\n}\n");
+        json.array("cross_format");
+        for (const FormatRow &row : rows)
+            json.object()
+                .field("format", packedCodecName(row.codec))
+                .fixed("bits_per_element", row.bits, 4)
+                .sci("gemm_rmse_vs_fp32", row.rmse)
+                .sci("gemm_rel_rmse_vs_fp32", row.rel_rmse)
+                .fixed("decode_tokens_per_s", row.tps)
+                .field("isa", activeSimdIsaName())
+                .field("threads", cf_threads)
+                .end();
+        json.end().end();
     }
-    std::fclose(out);
-    std::printf("\nwrote %s\n", out_path.c_str());
-    if (!trace_path.empty()) {
-        size_t n = runtime::telemetry::traceStop();
-        std::printf("wrote %zu trace events to %s\n", n,
-                    trace_path.c_str());
-    }
+    json.close();
+    bench::finishTrace(args);
     return 0;
 }

@@ -8,9 +8,6 @@ namespace runtime {
 
 namespace {
 
-/** Cached session metric handle (null while metrics off). */
-std::atomic<telemetry::Histogram *> sessionForwardSlot{nullptr};
-
 /**
  * Shim recording wall time, the quantize/GEMM phase split and row
  * counts around a PackedLinear. The per-layer Workspace persists
@@ -117,85 +114,6 @@ packedLinearFactory(M2xfpConfig cfg, ThreadPool *pool,
         return std::make_unique<TimedLinear>(std::move(packed),
                                              std::move(s));
     };
-}
-
-InferenceSession::InferenceSession(const model::ModelConfig &model_cfg,
-                                   SessionConfig cfg)
-    : ownedPool_(cfg.threads ? std::make_unique<ThreadPool>(cfg.threads)
-                             : nullptr),
-      model_(model_cfg), isa_(cfg.isa), codec_(cfg.codec)
-{
-    model_.rebuild(packedLinearFactory(cfg.format, ownedPool_.get(),
-                                       &stats_, isa_, codec_));
-}
-
-InferenceSession::~InferenceSession() = default;
-
-Matrix
-InferenceSession::forward(std::span<const int> tokens)
-{
-    telemetry::TraceSpan span("session.forward");
-    if (span.active())
-        span.arg("tokens", tokens.size());
-    uint64_t t0 = telemetry::metricsEnabled()
-                      ? telemetry::nowNanos()
-                      : 0;
-    Matrix logits = model_.forwardLogits(tokens);
-    if (t0)
-        if (auto *h = telemetry::cachedHistogram(
-                sessionForwardSlot, "session.forward_ns"))
-            h->record(telemetry::nowNanos() - t0);
-    return logits;
-}
-
-std::vector<Matrix>
-InferenceSession::forwardBatch(
-    const std::vector<std::vector<int>> &batch)
-{
-    std::vector<Matrix> logits;
-    logits.reserve(batch.size());
-    for (const auto &seq : batch)
-        logits.push_back(model_.forwardLogits(seq));
-    return logits;
-}
-
-double
-InferenceSession::linearSeconds() const
-{
-    double s = 0.0;
-    for (const auto &st : stats_)
-        s += st->seconds();
-    return s;
-}
-
-size_t
-InferenceSession::packedWeightBytes() const
-{
-    size_t b = 0;
-    for (const auto &st : stats_)
-        b += st->packedBytes;
-    return b;
-}
-
-size_t
-InferenceSession::denseWeightBytes() const
-{
-    size_t b = 0;
-    for (const auto &st : stats_)
-        b += st->denseBytes;
-    return b;
-}
-
-void
-InferenceSession::resetStats()
-{
-    for (auto &st : stats_) {
-        st->calls.store(0);
-        st->nanos.store(0);
-        st->rows.store(0);
-        st->quantizeNanos.store(0);
-        st->gemmNanos.store(0);
-    }
 }
 
 } // namespace runtime

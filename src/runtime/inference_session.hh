@@ -1,14 +1,11 @@
 /**
  * @file
- * InferenceSession: batched forward passes of a zoo model with every
- * linear layer executing in the packed M2XFP domain.
- *
- * The session owns a TinyTransformer rebuilt so each of its linear
- * operators is a PackedLinear (weights resident as packed streams)
- * wrapped in a timing shim, giving per-layer wall time, throughput,
- * and resident-bytes accounting — the serving-side counterpart of
- * the paper's accuracy benches, and the substrate later
- * batching/sharding work plugs into.
+ * packedLinearFactory: rebuilds a zoo model so each of its linear
+ * operators is a PackedLinear (weights resident as packed streams),
+ * optionally wrapped in a timing shim that accumulates per-layer
+ * LayerStats — wall time, the quantize/GEMM phase split, throughput
+ * and resident-bytes accounting. ServingEngine, the runtime benches
+ * and servebench's replay all build their packed models through it.
  */
 
 #ifndef M2X_RUNTIME_INFERENCE_SESSION_HH__
@@ -16,13 +13,11 @@
 
 #include <atomic>
 #include <memory>
-#include <span>
 #include <string>
 #include <vector>
 
 #include "core/m2xfp.hh"
 #include "core/packed_codec.hh"
-#include "model/config.hh"
 #include "model/transformer.hh"
 #include "runtime/simd.hh"
 #include "runtime/thread_pool.hh"
@@ -58,6 +53,17 @@ struct LayerStats
     }
     double gemmSeconds() const { return 1e-9 * gemmNanos.load(); }
 
+    /** Zero the timing counters (keeps the weight accounting). */
+    void
+    reset()
+    {
+        calls = 0;
+        nanos = 0;
+        rows = 0;
+        quantizeNanos = 0;
+        gemmNanos = 0;
+    }
+
     /** Achieved GEMM throughput over all recorded calls. */
     double
     gflops() const
@@ -70,88 +76,6 @@ struct LayerStats
                        static_cast<double>(outFeatures);
         return flops / s * 1e-9;
     }
-};
-
-/** Session construction knobs. */
-struct SessionConfig
-{
-    /** Parallel lanes for the packed GEMM; 0 = the global pool. */
-    unsigned threads = 0;
-    /** Format configuration (must keep the paper packed layout). */
-    M2xfpConfig format{};
-    /** Kernel tier for every layer; defaults to the dispatch pick. */
-    SimdIsa isa = activeSimdIsa();
-    /**
-     * Packed stream codec for every layer's weight + activation
-     * encode. Session-level default follows the M2X_FORMAT
-     * environment override (see defaultPackedCodec()); low-level
-     * APIs keep explicit elem_em defaults.
-     */
-    PackedCodec codec = defaultPackedCodec();
-};
-
-/**
- * A loaded model ready to serve forward passes through PackedLinear
- * layers.
- *
- * Forward calls on one session are safe from any number of threads,
- * but the fast path expects a single serving thread (parallelism
- * lives inside the packed kernels): each layer shim reuses a
- * per-layer activation-packing workspace across calls, and a
- * concurrent forward that finds it claimed falls back to per-call
- * scratch — correct, just not allocation-free.
- */
-class InferenceSession
-{
-  public:
-    explicit InferenceSession(const model::ModelConfig &model_cfg,
-                              SessionConfig cfg = {});
-    ~InferenceSession();
-
-    /** Logits [tokens, vocab] for one causal forward pass. */
-    Matrix forward(std::span<const int> tokens);
-
-    /** Forward every sequence of a batch; returns per-seq logits. */
-    std::vector<Matrix>
-    forwardBatch(const std::vector<std::vector<int>> &batch);
-
-    /** Per-layer stats in deterministic layer order. */
-    const std::vector<std::shared_ptr<LayerStats>> &
-    layerStats() const
-    {
-        return stats_;
-    }
-
-    /** Wall time spent inside packed linear layers since reset. */
-    double linearSeconds() const;
-
-    /** Total resident packed weight bytes across all layers. */
-    size_t packedWeightBytes() const;
-
-    /** Total fp32-equivalent weight bytes. */
-    size_t denseWeightBytes() const;
-
-    /** Zero all timing counters (keeps the packed weights). */
-    void resetStats();
-
-    /** The kernel tier every layer executes on. */
-    SimdIsa simdIsa() const { return isa_; }
-
-    /** The packed stream codec every layer executes with. */
-    PackedCodec codec() const { return codec_; }
-
-    const model::TinyTransformer &model() const { return model_; }
-    const model::ModelConfig &modelConfig() const
-    {
-        return model_.config();
-    }
-
-  private:
-    std::unique_ptr<ThreadPool> ownedPool_; //!< when threads != 0
-    model::TinyTransformer model_;
-    std::vector<std::shared_ptr<LayerStats>> stats_;
-    SimdIsa isa_;
-    PackedCodec codec_;
 };
 
 /**

@@ -45,9 +45,8 @@
  * counters, serving.occupancy / serving.active / serving.queued /
  * serving.free_pages / decode.attend_scratch_bytes gauges.
  *
- * Like InferenceSession, one engine expects a single driving thread;
- * parallelism lives inside the packed kernels and the per-sequence
- * attention fan-out.
+ * One engine expects a single driving thread; parallelism lives
+ * inside the packed kernels and the per-sequence attention fan-out.
  */
 
 #ifndef M2X_RUNTIME_SERVING_HH__

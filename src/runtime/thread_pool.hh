@@ -2,7 +2,7 @@
  * @file
  * A small fixed-size thread pool with a chunked parallel-for.
  *
- * The execution runtime (packed GEMM, InferenceSession) needs fork/
+ * The execution runtime (packed GEMM, ServingEngine) needs fork/
  * join data parallelism over index ranges, nothing more — so this is
  * deliberately not a general task system: one job is active at a
  * time, workers pull fixed-grain chunks off a shared atomic cursor

@@ -224,16 +224,25 @@ TEST(CacheAttendBackend, KvBytesAccounting)
         bytes[mi] = a.totalBytes() + b.totalBytes();
     }
     size_t tokens = 12 + 7;
-    // Per token per layer: K + V at groupsPerRow * 18 bytes each.
-    size_t groups = cfg.dModel / 32;
-    size_t packed_want = tokens * 2 * cfg.nLayers * groups * 18;
+    // Per token per layer: K + V at groupsPerRow * bytesPerGroup each,
+    // the width of whichever codec M2X_FORMAT picked; elem_em's is
+    // pinned to the paper layout (18 B per 32 elements, 4.5 bits).
+    const PackedCodecInfo &info = packedCodecInfo(codec);
+    size_t group_bytes = static_cast<size_t>(
+        info.bitsPerElement * info.groupSize / 8.0);
+    if (codec == PackedCodec::ElemEm) {
+        EXPECT_EQ(group_bytes, 18u);
+        EXPECT_EQ(info.bitsPerElement, 4.5);
+    }
+    size_t groups = cfg.dModel / info.groupSize;
+    size_t packed_want = tokens * 2 * cfg.nLayers * groups * group_bytes;
     size_t fp32_want =
         tokens * 2 * cfg.nLayers * cfg.dModel * sizeof(float);
     EXPECT_EQ(bytes[0], packed_want);
     EXPECT_EQ(bytes[1], fp32_want);
     EXPECT_DOUBLE_EQ(static_cast<double>(bytes[1]) /
                          static_cast<double>(bytes[0]),
-                     32.0 / 4.5);
+                     32.0 / info.bitsPerElement);
 }
 
 } // anonymous namespace
