@@ -152,33 +152,44 @@ TinyTransformer::rmsNormInto(const Matrix &x,
 namespace {
 
 /**
- * Rotary position embedding applied in place per head. Row t rotates
- * by its absolute position positions[t], so a chunk of rows deep in a
+ * Rotary position embedding applied in place to every head of @p q
+ * and @p k, which share the head dimension. Row t rotates by its
+ * absolute position positions[t], so a chunk of rows deep in a
  * sequence gets exactly the rotation the full forward would apply.
+ * The angle depends only on the position and the pair index, so each
+ * row's (cos, sin) pairs are computed once for all heads.
  */
 void
-applyRope(Matrix &x, unsigned n_heads,
+applyRope(Matrix &q, unsigned q_heads, Matrix &k, unsigned k_heads,
           std::span<const size_t> positions)
 {
-    size_t t_len = x.rows();
-    size_t d = x.cols();
-    size_t hd = d / n_heads;
-    for (size_t t = 0; t < t_len; ++t) {
+    size_t hd = q.cols() / q_heads;
+    m2x_assert(k.cols() / k_heads == hd && q.rows() == k.rows(),
+               "applyRope: q %zux%zu/%u vs k %zux%zu/%u", q.rows(),
+               q.cols(), q_heads, k.rows(), k.cols(), k_heads);
+    std::vector<float> cs(hd & ~size_t{1});
+    auto rotate = [&](float *row, unsigned n_heads) {
         for (unsigned h = 0; h < n_heads; ++h) {
-            float *base = x.data() + t * d + h * hd;
+            float *base = row + h * hd;
             for (size_t i = 0; i + 1 < hd; i += 2) {
-                double theta =
-                    static_cast<double>(positions[t]) /
-                    std::pow(10000.0,
-                             static_cast<double>(i) /
-                                 static_cast<double>(hd));
-                float c = static_cast<float>(std::cos(theta));
-                float s = static_cast<float>(std::sin(theta));
+                float c = cs[i], s = cs[i + 1];
                 float a = base[i], b = base[i + 1];
                 base[i] = a * c - b * s;
                 base[i + 1] = a * s + b * c;
             }
         }
+    };
+    for (size_t t = 0; t < q.rows(); ++t) {
+        for (size_t i = 0; i + 1 < hd; i += 2) {
+            double theta =
+                static_cast<double>(positions[t]) /
+                std::pow(10000.0, static_cast<double>(i) /
+                                      static_cast<double>(hd));
+            cs[i] = static_cast<float>(std::cos(theta));
+            cs[i + 1] = static_cast<float>(std::sin(theta));
+        }
+        rotate(q.data() + t * q.cols(), q_heads);
+        rotate(k.data() + t * k.cols(), k_heads);
     }
 }
 
@@ -198,8 +209,7 @@ TinyTransformer::attention(const Block &b, size_t layer,
     b.q->forwardInto(x_normed, s.q);
     b.k->forwardInto(x_normed, s.k);
     b.v->forwardInto(x_normed, s.v);
-    applyRope(s.q, cfg_.nHeads, positions);
-    applyRope(s.k, cfg_.kvHeads(), positions);
+    applyRope(s.q, cfg_.nHeads, s.k, cfg_.kvHeads(), positions);
 
     // §6.4 extension: K/V are right-hand GEMM operands and may be
     // quantized with the static-side codec; Q with the dynamic one.
@@ -323,7 +333,9 @@ TinyTransformer::forwardInner(
             (*collect)[name] = input;
     };
 
-    ForwardScratch s;
+    // Per thread, so a steady decode stream reuses every buffer and
+    // concurrent forwards never share one.
+    thread_local ForwardScratch s;
     for (size_t l = 0; l < blocks_.size(); ++l) {
         const Block &b = blocks_[l];
         std::string p = "layer" + std::to_string(l) + ".";
@@ -352,6 +364,12 @@ TinyTransformer::forwardInner(
         for (size_t i = 0; i < x.size(); ++i)
             x.flat()[i] += s.mlp.flat()[i];
     }
+    // Only a run of equal-sized chunks (decode steps over a fixed
+    // active set) keeps the buffers; any other chunk releases them,
+    // so a prefill's buffers never outlive it.
+    if (t_len != s.rows)
+        s = ForwardScratch();
+    s.rows = t_len;
 
     Matrix xf = rmsNorm(x, finalNormGain_);
     record("head", xf);

@@ -164,12 +164,13 @@ class TinyTransformer
     std::function<std::shared_ptr<GroupQuantizer>()> qpQ_;
 
     /**
-     * Per-forward reused buffers: every norm output and linear-layer
-     * output of the block loop lands in one of these (via the
-     * into-style LinearOp entry point), so a forwardInner call
-     * allocates each buffer at most once and a steady-state chunk
-     * stream — decode steps over a fixed active set — allocates no
-     * layer outputs at all.
+     * Reused layer buffers, one set per thread (forwardInner keeps
+     * it thread_local): every norm output and linear-layer output of
+     * the block loop lands in one of these (via the into-style
+     * LinearOp entry point), so a forwardInner call allocates each
+     * buffer at most once and a steady-state chunk stream — decode
+     * steps over a fixed active set — allocates no layer outputs at
+     * all.
      */
     struct ForwardScratch
     {
@@ -177,6 +178,7 @@ class TinyTransformer
         Matrix q, k, v;           // attention projections
         Matrix attnOut, attnProj; // score/value output, o-projection
         Matrix g, u, mlp;         // SwiGLU gate/up, down projection
+        size_t rows = 0;          // the previous forward's rows
     };
 
     Matrix rmsNorm(const Matrix &x,

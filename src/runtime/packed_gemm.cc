@@ -24,6 +24,26 @@ constexpr size_t groupSize = PackedM2xfpTensor::groupSize;
  */
 std::atomic<uint64_t> call_counter{0};
 
+/**
+ * Decode the A rows [i0, i0 + rows) to row-major doubles of stride
+ * padded_k, zero past the true depth — the form both GEMM paths read.
+ */
+void
+decodeARows(detail::DecodeRowsFn decode, const PackedM2xfpTensor &a,
+            size_t i0, size_t rows, size_t padded_k, double *out)
+{
+    thread_local std::vector<float> rowbuf;
+    rowbuf.resize(padded_k);
+    for (size_t ii = 0; ii < rows; ++ii) {
+        decode(a, i0 + ii, 1, padded_k, rowbuf.data());
+        double *ar = out + ii * padded_k;
+        for (size_t p = 0; p < a.cols(); ++p)
+            ar[p] = rowbuf[p];
+        for (size_t p = a.cols(); p < padded_k; ++p)
+            ar[p] = 0.0;
+    }
+}
+
 } // anonymous namespace
 
 namespace detail {
@@ -39,6 +59,7 @@ gemmKernels(SimdIsa isa)
     static const GemmKernels scalar{&codecDecodeRows,
                                     &codecDecodeWeightRows,
                                     &decodeWeightSliverScalar,
+                                    /*sliverTile=*/nullptr,
                                     &microKernelScalar,
                                     {16, 16, 64, 256, 64},
                                     /*accumulatePadding=*/false};
@@ -46,6 +67,7 @@ gemmKernels(SimdIsa isa)
     static const GemmKernels avx2{&decodeActivationRowsAvx2,
                                   &decodeWeightRowsAvx2,
                                   &decodeWeightSliverAvx2,
+                                  &sliverTileKernelAvx2,
                                   &microKernelAvx2,
                                   {4, 8, 128, 256, 128},
                                   /*accumulatePadding=*/true};
@@ -56,6 +78,7 @@ gemmKernels(SimdIsa isa)
     static const GemmKernels avx512{&decodeActivationRowsAvx512,
                                     &decodeWeightRowsAvx512,
                                     &decodeWeightSliverAvx512,
+                                    &sliverTileKernelAvx512,
                                     &microKernelAvx512,
                                     {8, 16, 128, 256, 128},
                                     /*accumulatePadding=*/true};
@@ -94,6 +117,15 @@ sliverDecoder(const PackedCodecInfo &info, SimdIsa isa)
         kern.decodeWeightRows)
         return kern.decodeWeightSliver;
     return &decodeWeightSliverScalar;
+}
+
+SliverTileFn
+sliverTile(const PackedCodecInfo &info, SimdIsa isa)
+{
+    const GemmKernels &kern = gemmKernels(isa);
+    return sliverDecoder(info, isa) == kern.decodeWeightSliver
+               ? kern.sliverTile
+               : nullptr;
 }
 
 void
@@ -201,12 +233,60 @@ packedMatmulNtBlocked(const PackedM2xfpTensor &a,
                "packedMatmulNtBlocked: blocking %zux%zux%zu not "
                "normalized for mr=%zu nr=%zu", mc, kc, nc, mr, nr);
     size_t padded_k = a.groupsPerRow() * a.codecInfo().groupSize;
+    // At decode-sized M a W panel would be read back once, so the
+    // tiers with a decode-fused tile write none: one task per sliver
+    // decodes it straight into the register tile, on the calling
+    // thread alone for a W under two kc x nc blocks (waking the pool
+    // would cost more than it saves).
+    detail::SliverTileFn tile =
+        m <= mr ? detail::sliverTile(*tr.info, isa) : nullptr;
+    ThreadPool &tp = pool ? *pool : ThreadPool::global();
+    size_t n_ic = ceilDiv(m, mc);
+    size_t n_jc = tile ? ceilDiv(n, nr) : ceilDiv(n, nc);
+    size_t n_tasks = n_ic * n_jc;
+    size_t grain = tile && n * k < 2 * kc * nc
+                       ? n_tasks
+                       : detail::packedGemmGrain(n_ic, n_jc, tp.size());
+    telemetry::TraceSpan span("gemm.packed");
+    if (span.active()) {
+        span.arg("m", m);
+        span.arg("n", n);
+        span.arg("k", k);
+        span.arg("isa", simdIsaName(isa));
+        span.arg("path", tile ? "tile" : "panel");
+        span.arg("mc", mc);
+        span.arg("kc", kc);
+        span.arg("nc", nc);
+        span.arg("tasks", n_tasks);
+        span.arg("grain", grain);
+    }
+
+    if (tile) {
+        // The m A rows are decoded once, shared by every lane.
+        thread_local std::vector<double> arows_store;
+        arows_store.resize(m * padded_k);
+        double *arows = arows_store.data();
+        decodeARows(decode_act, a, 0, m, padded_k, arows);
+        m2x_assert(mr * nr <= 128, "sliver tile %zux%zu", mr, nr);
+        tp.parallelFor(0, n_tasks, grain, [&](size_t t0, size_t t1) {
+            double tc[128];
+            for (size_t sv = t0; sv < t1; ++sv) {
+                size_t jbase = sv * nr;
+                size_t jlim = std::min(nr, n - jbase);
+                tile(w, jbase, jlim, arows, padded_k, m, tc);
+                for (size_t i = 0; i < m; ++i)
+                    for (size_t jj = 0; jj < jlim; ++jj)
+                        c(i, jbase + jj) =
+                            static_cast<float>(tc[i * nr + jj]);
+            }
+        });
+        return;
+    }
+
     // The scalar oracle keeps each output a single ascending-k
     // summation chain over the true depth; vector tiers sweep the
     // zero-filled pad so their FMA loops need no tail handling.
     size_t p_end = kern.accumulatePadding ? padded_k : k;
-    size_t n_ic = ceilDiv(m, mc);
-    size_t n_jc = ceilDiv(n, nc);
     uint64_t call_id =
         call_counter.fetch_add(1, std::memory_order_relaxed) + 1;
 
@@ -214,33 +294,15 @@ packedMatmulNtBlocked(const PackedM2xfpTensor &a,
     // same decoded W panel (cached per thread, keyed call + panel):
     // the panel's groups are LUT-decoded once and reused across the
     // full M dimension.
-    ThreadPool &tp = pool ? *pool : ThreadPool::global();
-    size_t n_tasks = n_ic * n_jc;
-    size_t grain = detail::packedGemmGrain(n_ic, n_jc, tp.size());
     size_t sliver_stride = padded_k * nr;
-    telemetry::TraceSpan span("gemm.packed");
-    if (span.active()) {
-        span.arg("m", m);
-        span.arg("n", n);
-        span.arg("k", k);
-        span.arg("isa", simdIsaName(isa));
-        span.arg("mc", mc);
-        span.arg("kc", kc);
-        span.arg("nc", nc);
-        span.arg("tasks", n_tasks);
-        span.arg("grain", grain);
-    }
     tp.parallelFor(
         0, n_tasks, grain,
         [&](size_t t0, size_t t1) {
             thread_local std::vector<double> panel_store;
             thread_local std::vector<double> ablock_store;
             thread_local std::vector<double> acc_store;
-            thread_local std::vector<float> rowbuf_store;
             thread_local uint64_t cached_call = 0;
             thread_local size_t cached_jc = SIZE_MAX;
-            rowbuf_store.resize(padded_k);
-            float *rowbuf = rowbuf_store.data();
             for (size_t t = t0; t < t1; ++t) {
                 size_t jc = t / n_ic;
                 size_t ic = t % n_ic;
@@ -266,20 +328,12 @@ packedMatmulNtBlocked(const PackedM2xfpTensor &a,
                 }
                 const double *panel = panel_store.data();
 
-                // Decode the A block once per task (row-major
-                // doubles, depth pad zeroed).
+                // Decode the A block once per task.
                 size_t i0 = ic * mc;
                 size_t mc_cur = std::min(mc, m - i0);
                 ablock_store.resize(mc_cur * padded_k);
                 double *ab = ablock_store.data();
-                for (size_t ii = 0; ii < mc_cur; ++ii) {
-                    decode_act(a, i0 + ii, 1, padded_k, rowbuf);
-                    double *ar = ab + ii * padded_k;
-                    for (size_t p = 0; p < k; ++p)
-                        ar[p] = rowbuf[p];
-                    for (size_t p = k; p < padded_k; ++p)
-                        ar[p] = 0.0;
-                }
+                decodeARows(decode_act, a, i0, mc_cur, padded_k, ab);
 
                 // The block's persistent accumulator: KC slicing
                 // adds into it across depth slices, so no summation

@@ -1,8 +1,9 @@
 /**
  * @file
  * AVX2+FMA tier of the packed GEMM: vectorized LUT decode of the
- * M2XFP byte streams and an FMA microkernel over double accumulator
- * vectors.
+ * M2XFP byte streams, one Sg-EM sliver decode feeding both GEMM
+ * paths, and R x 8 register tiles over 4-wide double accumulators
+ * (R <= 4).
  *
  * Decode: both nibbles of each packed element byte are split with
  * byte ops, widened to 32-bit lanes, and the 16-entry FP4 E2M1 table
@@ -11,17 +12,18 @@
  * are bit-identical to the generic traits kernels (asserted by
  * tests/runtime/simd_test.cc over all 256 byte values per stream).
  * The Elem-EM top-1 argmax is a horizontal max per subgroup; the
- * winner's FP6 value is one scalar table read. The W panel's sliver
- * decoder reuses the same
- * magnitude permute on 8 rows at once: one masked vpgatherdd per
- * (group, subgroup) loads each row's 32-bit element word, and every
- * depth position becomes one 8-lane lookup, a per-lane scale
- * multiply and two widened 4-double stores.
+ * winner's FP6 value is one scalar table read. The sliver decode
+ * runs the same magnitude permute on 8 weight rows at once: one
+ * masked vpgatherdd per (group, subgroup) loads each row's 32-bit
+ * element word, and every depth position becomes one 8-lane lookup,
+ * a per-lane scale multiply and a widening to two 4-double vectors —
+ * stored as a k-major panel row, or at M <= 4 FMA'd straight into
+ * the decode-fused tile's row accumulators, with no panel.
  *
- * Accumulate: the MR=4 x NR=8 register-tile microkernel broadcasts
- * one A double per row against two 4-wide W sliver vectors, 8
- * independent double FMA chains — deep enough to cover the FMA
- * latency at two issues per cycle. FMA contraction rounds
+ * Accumulate: per depth step the two 4-wide W vectors and each row's
+ * A broadcast feed 2R independent FMA chains — 8 at R = 4, enough to
+ * cover the FMA latency at two issues per cycle. Each output is one
+ * ascending-p chain in either path. FMA contraction rounds
  * differently from the scalar oracle's separate multiply and add;
  * parity is tolerance-checked, never assumed bit-exact.
  *
@@ -31,7 +33,6 @@
 
 #include <immintrin.h>
 
-#include <algorithm>
 #include <bit>
 #include <climits>
 
@@ -210,18 +211,27 @@ decodeWeightRowsAvx2(const PackedM2xfpTensor &t, size_t row0,
                                   out + r * stride + g * groupSize);
 }
 
-void
-decodeWeightSliverAvx2(const PackedM2xfpTensor &w, size_t jbase,
-                       size_t jlim, size_t nr, double *sl)
+namespace {
+
+/**
+ * The tier's one Sg-EM sliver decode: sink(p, lo, hi) for every depth
+ * position p of the weight rows [jbase, jbase + jlim) in ascending
+ * order, lanes 0..3 and 4..7 widened to double; the pad lanes and
+ * the depth pad (p >= w.cols()) are +0.0.
+ */
+template <class Sink>
+inline __attribute__((always_inline)) void
+forEachSliverDepthAvx2(const PackedM2xfpTensor &w, size_t jbase,
+                       size_t jlim, Sink &&sink)
 {
-    m2x_assert(nr == 8 && jlim >= 1 && jlim <= 8,
-               "decodeWeightSliverAvx2: nr=%zu jlim=%zu", nr, jlim);
+    m2x_assert(jlim >= 1 && jlim <= 8, "Avx2 sliver decode: jlim=%zu",
+               jlim);
     const Avx2Tables &tab = tables();
     const size_t gpr = w.groupsPerRow();
     const size_t row_bytes = gpr * bytesPerGroup;
     m2x_assert(row_bytes * 7 <= INT_MAX,
-               "decodeWeightSliverAvx2: %zu-byte rows overflow the "
-               "gather offsets", row_bytes);
+               "Avx2 sliver decode: %zu-byte rows overflow the gather "
+               "offsets", row_bytes);
     const __m256i lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
     const __m256i live = _mm256_cmpgt_epi32(
         _mm256_set1_epi32(static_cast<int>(jlim)), lane);
@@ -244,7 +254,6 @@ decodeWeightSliverAvx2(const PackedM2xfpTensor &w, size_t jbase,
         const __m256 sv = _mm256_load_ps(sval);
         const __m256i md = _mm256_load_si256(
             reinterpret_cast<const __m256i *>(meta));
-        double *out = sl + g * groupSize * 8;
         for (unsigned s = 0; s < nSubgroups; ++s) {
             // Same two multiplies in the same order as the scalar
             // decode: value * (sval * mult).
@@ -261,56 +270,50 @@ decodeWeightSliverAvx2(const PackedM2xfpTensor &w, size_t jbase,
                     elems + g * bytesPerGroup +
                     s * (subgroupSize / 2)),
                 row_off, live, 1);
-            for (unsigned e = 0; e < subgroupSize; ++e) {
-                __m256 v = _mm256_mul_ps(
-                    decodeFp4x8(_mm256_and_si256(word, nibble),
-                                tab.fp4Mag),
-                    scale);
+            size_t p = g * groupSize + s * subgroupSize;
+            for (unsigned e = 0; e < subgroupSize; ++e, ++p) {
+                __m256 v = _mm256_setzero_ps();
+                if (p < w.cols())
+                    v = _mm256_mul_ps(
+                        decodeFp4x8(_mm256_and_si256(word, nibble),
+                                    tab.fp4Mag),
+                        scale);
                 word = _mm256_srli_epi32(word, 4);
-                double *dst = out + (s * subgroupSize + e) * 8;
-                _mm256_storeu_pd(
-                    dst, _mm256_cvtps_pd(_mm256_castps256_ps128(v)));
-                _mm256_storeu_pd(
-                    dst + 4,
-                    _mm256_cvtps_pd(_mm256_extractf128_ps(v, 1)));
+                sink(p, _mm256_cvtps_pd(_mm256_castps256_ps128(v)),
+                     _mm256_cvtps_pd(_mm256_extractf128_ps(v, 1)));
             }
         }
     }
-    // Codes past the true depth never reach the panel.
-    std::fill(sl + w.cols() * 8, sl + gpr * groupSize * 8, 0.0);
 }
 
-namespace {
-
 /**
- * The register tile for R rows: per depth step the sliver's two
- * 4-wide W vectors feed 2R independent FMA chains, one pass over the
- * sliver whatever R is. Every output is the same ascending-p FMA
- * chain for any R, so a row's bits never depend on how many rows
- * share its tile.
+ * The R x 8 register tile of both GEMM paths: R rows of
+ * accumulators from +0.0 (@p zero) or @p acc, 2R FMA chains over
+ * the W vectors @p feed hands it in ascending p, stored to @p acc.
+ * Each output is the same chain for any R and either feed, so a
+ * row's bits depend on neither its batch nor the path.
  */
-template <size_t R>
-void
-tileAvx2(const double *a, size_t a_stride, const double *ws,
-         size_t p0, size_t p1, double *acc, size_t acc_stride)
+template <size_t R, class Feed>
+inline __attribute__((always_inline)) void
+tileAvx2(const double *a, size_t a_stride, bool zero, double *acc,
+         size_t acc_stride, Feed &&feed)
 {
     __m256d c_lo[R], c_hi[R];
 #pragma GCC unroll 4
     for (size_t ii = 0; ii < R; ++ii) {
-        c_lo[ii] = _mm256_loadu_pd(acc + ii * acc_stride);
-        c_hi[ii] = _mm256_loadu_pd(acc + ii * acc_stride + 4);
+        c_lo[ii] = zero ? _mm256_setzero_pd()
+                        : _mm256_loadu_pd(acc + ii * acc_stride);
+        c_hi[ii] = zero ? _mm256_setzero_pd()
+                        : _mm256_loadu_pd(acc + ii * acc_stride + 4);
     }
-    for (size_t p = p0; p < p1; ++p) {
-        const double *wp = ws + p * 8;
-        __m256d wl = _mm256_loadu_pd(wp);
-        __m256d wh = _mm256_loadu_pd(wp + 4);
+    feed([&](size_t p, __m256d wl, __m256d wh) {
 #pragma GCC unroll 4
         for (size_t ii = 0; ii < R; ++ii) {
             __m256d av = _mm256_broadcast_sd(a + ii * a_stride + p);
             c_lo[ii] = _mm256_fmadd_pd(av, wl, c_lo[ii]);
             c_hi[ii] = _mm256_fmadd_pd(av, wh, c_hi[ii]);
         }
-    }
+    });
 #pragma GCC unroll 4
     for (size_t ii = 0; ii < R; ++ii) {
         _mm256_storeu_pd(acc + ii * acc_stride, c_lo[ii]);
@@ -321,24 +324,44 @@ tileAvx2(const double *a, size_t a_stride, const double *ws,
 } // anonymous namespace
 
 void
+decodeWeightSliverAvx2(const PackedM2xfpTensor &w, size_t jbase,
+                       size_t jlim, size_t nr, double *sl)
+{
+    m2x_assert(nr == 8, "decodeWeightSliverAvx2: nr=%zu", nr);
+    forEachSliverDepthAvx2(
+        w, jbase, jlim, [sl](size_t p, __m256d lo, __m256d hi) {
+            _mm256_storeu_pd(sl + p * 8, lo);
+            _mm256_storeu_pd(sl + p * 8 + 4, hi);
+        });
+}
+
+void
+sliverTileKernelAvx2(const PackedM2xfpTensor &w, size_t jbase,
+                     size_t jlim, const double *a, size_t a_stride,
+                     size_t rows, double *c)
+{
+    withTileRows<4>(rows, [&](auto r) {
+        tileAvx2<decltype(r)::value>(
+            a, a_stride, true, c, 8, [&](auto &&fma) {
+                forEachSliverDepthAvx2(w, jbase, jlim, fma);
+            });
+    });
+}
+
+void
 microKernelAvx2(const double *a, size_t a_stride, const double *ws,
                 size_t nr, size_t p0, size_t p1, size_t mr_cur,
                 double *acc, size_t acc_stride)
 {
-    // Broadcast-form register tile, MR=4 x NR=8: per depth step the
-    // sliver contributes two 4-wide W vectors and each A row one
-    // broadcast, feeding 8 independent FMA chains — enough to cover
-    // the FMA latency at two issues per cycle. The accumulators
-    // live in acc across KC slices; they are staged through
-    // registers for the sweep and stored back at the end.
     m2x_assert(nr == 8, "microKernelAvx2 expects nr=8, got %zu", nr);
-    using TileFn = void (*)(const double *, size_t, const double *,
-                            size_t, size_t, double *, size_t);
-    static constexpr TileFn tiles[4] = {&tileAvx2<1>, &tileAvx2<2>,
-                                        &tileAvx2<3>, &tileAvx2<4>};
-    m2x_assert(mr_cur >= 1 && mr_cur <= 4,
-               "microKernelAvx2: mr_cur=%zu", mr_cur);
-    tiles[mr_cur - 1](a, a_stride, ws, p0, p1, acc, acc_stride);
+    withTileRows<4>(mr_cur, [&](auto r) {
+        tileAvx2<decltype(r)::value>(
+            a, a_stride, false, acc, acc_stride, [&](auto &&fma) {
+                for (size_t p = p0; p < p1; ++p)
+                    fma(p, _mm256_loadu_pd(ws + p * 8),
+                        _mm256_loadu_pd(ws + p * 8 + 4));
+            });
+    });
 }
 
 } // namespace detail

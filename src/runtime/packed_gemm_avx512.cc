@@ -2,8 +2,9 @@
  * @file
  * AVX-512 (F+BW) tier of the packed GEMM: full-table vector LUT
  * decode of the M2XFP streams — the tier's only row decoders, shared
- * by the GEMM and the KV attend — and an 8x16 broadcast-form FMA
- * microkernel over 8-wide double accumulators.
+ * by the GEMM and the KV attend — one Sg-EM sliver decode feeding
+ * both GEMM paths, and R x 16 register tiles over 8-wide double
+ * accumulators (R <= 8).
  *
  * Decode: the 16-entry FP4 E2M1 value table fits one zmm register,
  * so a single vpermps (_mm512_permutexvar_ps) decodes 16 codes at
@@ -22,24 +23,24 @@
  * lane's value is the exact same table entry times the exact same
  * scale as the generic CodecTraits kernels, so the decoded floats
  * are bit-identical to them (tests/runtime/simd_test.cc,
- * tests/runtime/codec_traits_test.cc). The W panel skips the row
- * layout entirely: the sliver decoder gathers one subgroup's 32-bit
- * element word from each of the 16 rows with one masked vpgatherdd,
- * then per depth position shifts out the nibble, looks it up with
- * the same vpermps, applies the per-lane subgroup scale and stores
- * two widened 8-double vectors — the k-major sliver row,
- * bit-identical to row decode plus transpose
- * (tests/runtime/packed_gemm_test.cc).
+ * tests/runtime/codec_traits_test.cc).
  *
- * Accumulate: per depth step the k-major sliver contributes two
- * 8-wide W vectors and each of the (up to) 8 A rows one broadcast —
- * 16 independent FMA chains across 19 live zmm registers for a full
- * tile, deep enough to cover the FMA latency at two issues per
- * cycle. A ragged tile (fewer rows, e.g. a decode step's batch) still
- * sweeps the sliver once for all its rows. Lane partials
- * persist in the block accumulator across KC slices; the summation
- * order differs from the scalar oracle, so parity is
- * tolerance-checked, never assumed bit-exact.
+ * Weights skip the row layout: the sliver decode gathers one
+ * subgroup's 32-bit element word from each of 16 rows with one
+ * masked vpgatherdd, then per depth position shifts out the nibble,
+ * looks it up with the same vpermps, applies the per-lane subgroup
+ * scale and widens to two 8-double vectors. The panel path stores
+ * them as one k-major sliver row (bit-identical to row decode plus
+ * transpose, tests/runtime/packed_gemm_test.cc); at M <= 8 the
+ * decode-fused tile FMAs them straight into the row accumulators,
+ * and no panel exists.
+ *
+ * Accumulate: per depth step the two 8-wide W vectors and each row's
+ * A broadcast feed 2R independent FMA chains, one pass over the
+ * sliver whatever R is. Each output is one ascending-p chain over the
+ * padded depth in either path, so a row's bits never depend on the
+ * batch; the order differs from the scalar oracle, so parity with it
+ * is tolerance-checked, never assumed bit-exact.
  *
  * This translation unit is compiled with -mavx2 -mfma -mavx512f
  * -mavx512bw and must only be entered through the runtime dispatch
@@ -48,7 +49,6 @@
 
 #include <immintrin.h>
 
-#include <algorithm>
 #include <climits>
 
 #include "runtime/codec_traits.hh"
@@ -263,17 +263,26 @@ decodeActivationRowsAvx512(const PackedM2xfpTensor &t, size_t row0,
     }
 }
 
-void
-decodeWeightSliverAvx512(const PackedM2xfpTensor &w, size_t jbase,
-                         size_t jlim, size_t nr, double *sl)
+namespace {
+
+/**
+ * The tier's one Sg-EM sliver decode: sink(p, lo, hi) for every depth
+ * position p of the weight rows [jbase, jbase + jlim) in ascending
+ * order, lanes 0..7 and 8..15 widened to double; the pad lanes and
+ * the depth pad (p >= w.cols()) are +0.0.
+ */
+template <class Sink>
+inline __attribute__((always_inline)) void
+forEachSliverDepthAvx512(const PackedM2xfpTensor &w, size_t jbase,
+                         size_t jlim, Sink &&sink)
 {
-    m2x_assert(nr == 16 && jlim >= 1 && jlim <= 16,
-               "decodeWeightSliverAvx512: nr=%zu jlim=%zu", nr, jlim);
+    m2x_assert(jlim >= 1 && jlim <= 16,
+               "Avx512 sliver decode: jlim=%zu", jlim);
     const Avx512Tables &tab = tables();
     const size_t gpr = w.groupsPerRow();
     const size_t row_bytes = gpr * bytesPerGroup;
     m2x_assert(row_bytes * 15 <= INT_MAX,
-               "decodeWeightSliverAvx512: %zu-byte rows overflow the "
+               "Avx512 sliver decode: %zu-byte rows overflow the "
                "gather offsets", row_bytes);
     const __mmask16 live =
         static_cast<__mmask16>((1u << jlim) - 1u);
@@ -297,7 +306,6 @@ decodeWeightSliverAvx512(const PackedM2xfpTensor &w, size_t jbase,
         }
         const __m512 sv = _mm512_load_ps(sval);
         const __m512i md = _mm512_load_si512(meta);
-        double *out = sl + g * groupSize * 16;
         for (unsigned s = 0; s < nSubgroups; ++s) {
             // Same two multiplies in the same order as the scalar
             // decode: value * (sval * mult).
@@ -311,58 +319,51 @@ decodeWeightSliverAvx512(const PackedM2xfpTensor &w, size_t jbase,
             __m512i word = _mm512_mask_i32gather_epi32(
                 _mm512_setzero_si512(), live, row_off,
                 elems + g * bytesPerGroup + s * (subgroupSize / 2), 1);
-            for (unsigned e = 0; e < subgroupSize; ++e) {
-                __m512 v = _mm512_mul_ps(
+            size_t p = g * groupSize + s * subgroupSize;
+            for (unsigned e = 0; e < subgroupSize; ++e, ++p) {
+                __m512 v = _mm512_maskz_mul_ps(
+                    p < w.cols() ? 0xffff : 0,
                     _mm512_permutexvar_ps(
                         _mm512_and_si512(word, nibble), tab.fp4Value),
                     scale);
                 word = _mm512_srli_epi32(word, 4);
-                double *dst = out + (s * subgroupSize + e) * 16;
-                _mm512_storeu_pd(dst, _mm512_cvtps_pd(
-                                          _mm512_castps512_ps256(v)));
-                _mm512_storeu_pd(
-                    dst + 8,
-                    _mm512_cvtps_pd(_mm256_castpd_ps(
-                        _mm512_extractf64x4_pd(_mm512_castps_pd(v),
-                                               1))));
+                sink(p, _mm512_cvtps_pd(_mm512_castps512_ps256(v)),
+                     _mm512_cvtps_pd(_mm256_castpd_ps(
+                         _mm512_extractf64x4_pd(_mm512_castps_pd(v),
+                                                1))));
             }
         }
     }
-    // Codes past the true depth never reach the panel.
-    std::fill(sl + w.cols() * 16, sl + gpr * groupSize * 16, 0.0);
 }
 
-namespace {
-
 /**
- * The register tile for R rows: per depth step the sliver's two
- * 8-wide W vectors feed 2R independent FMA chains, one pass over the
- * sliver whatever R is. Every output is the same ascending-p FMA
- * chain for any R, so a row's bits never depend on how many rows
- * share its tile.
+ * The R x 16 register tile of both GEMM paths: R rows of
+ * accumulators from +0.0 (@p zero) or @p acc, 2R FMA chains over
+ * the W vectors @p feed hands it in ascending p, stored to @p acc.
+ * Each output is the same chain for any R and either feed, so a
+ * row's bits depend on neither its batch nor the path.
  */
-template <size_t R>
-void
-tileAvx512(const double *a, size_t a_stride, const double *ws,
-           size_t p0, size_t p1, double *acc, size_t acc_stride)
+template <size_t R, class Feed>
+inline __attribute__((always_inline)) void
+tileAvx512(const double *a, size_t a_stride, bool zero, double *acc,
+           size_t acc_stride, Feed &&feed)
 {
     __m512d c_lo[R], c_hi[R];
 #pragma GCC unroll 8
     for (size_t ii = 0; ii < R; ++ii) {
-        c_lo[ii] = _mm512_loadu_pd(acc + ii * acc_stride);
-        c_hi[ii] = _mm512_loadu_pd(acc + ii * acc_stride + 8);
+        c_lo[ii] = zero ? _mm512_setzero_pd()
+                        : _mm512_loadu_pd(acc + ii * acc_stride);
+        c_hi[ii] = zero ? _mm512_setzero_pd()
+                        : _mm512_loadu_pd(acc + ii * acc_stride + 8);
     }
-    for (size_t p = p0; p < p1; ++p) {
-        const double *wp = ws + p * 16;
-        __m512d wl = _mm512_loadu_pd(wp);
-        __m512d wh = _mm512_loadu_pd(wp + 8);
+    feed([&](size_t p, __m512d wl, __m512d wh) {
 #pragma GCC unroll 8
         for (size_t ii = 0; ii < R; ++ii) {
             __m512d av = _mm512_set1_pd(a[ii * a_stride + p]);
             c_lo[ii] = _mm512_fmadd_pd(av, wl, c_lo[ii]);
             c_hi[ii] = _mm512_fmadd_pd(av, wh, c_hi[ii]);
         }
-    }
+    });
 #pragma GCC unroll 8
     for (size_t ii = 0; ii < R; ++ii) {
         _mm512_storeu_pd(acc + ii * acc_stride, c_lo[ii]);
@@ -373,21 +374,45 @@ tileAvx512(const double *a, size_t a_stride, const double *ws,
 } // anonymous namespace
 
 void
+decodeWeightSliverAvx512(const PackedM2xfpTensor &w, size_t jbase,
+                         size_t jlim, size_t nr, double *sl)
+{
+    m2x_assert(nr == 16, "decodeWeightSliverAvx512: nr=%zu", nr);
+    forEachSliverDepthAvx512(
+        w, jbase, jlim, [sl](size_t p, __m512d lo, __m512d hi) {
+            _mm512_storeu_pd(sl + p * 16, lo);
+            _mm512_storeu_pd(sl + p * 16 + 8, hi);
+        });
+}
+
+void
+sliverTileKernelAvx512(const PackedM2xfpTensor &w, size_t jbase,
+                       size_t jlim, const double *a, size_t a_stride,
+                       size_t rows, double *c)
+{
+    withTileRows<8>(rows, [&](auto r) {
+        tileAvx512<decltype(r)::value>(
+            a, a_stride, true, c, 16, [&](auto &&fma) {
+                forEachSliverDepthAvx512(w, jbase, jlim, fma);
+            });
+    });
+}
+
+void
 microKernelAvx512(const double *a, size_t a_stride, const double *ws,
                   size_t nr, size_t p0, size_t p1, size_t mr_cur,
                   double *acc, size_t acc_stride)
 {
     m2x_assert(nr == 16, "microKernelAvx512 expects nr=16, got %zu",
                nr);
-    using TileFn = void (*)(const double *, size_t, const double *,
-                            size_t, size_t, double *, size_t);
-    static constexpr TileFn tiles[8] = {
-        &tileAvx512<1>, &tileAvx512<2>, &tileAvx512<3>,
-        &tileAvx512<4>, &tileAvx512<5>, &tileAvx512<6>,
-        &tileAvx512<7>, &tileAvx512<8>};
-    m2x_assert(mr_cur >= 1 && mr_cur <= 8,
-               "microKernelAvx512: mr_cur=%zu", mr_cur);
-    tiles[mr_cur - 1](a, a_stride, ws, p0, p1, acc, acc_stride);
+    withTileRows<8>(mr_cur, [&](auto r) {
+        tileAvx512<decltype(r)::value>(
+            a, a_stride, false, acc, acc_stride, [&](auto &&fma) {
+                for (size_t p = p0; p < p1; ++p)
+                    fma(p, _mm512_loadu_pd(ws + p * 16),
+                        _mm512_loadu_pd(ws + p * 16 + 8));
+            });
+    });
 }
 
 } // namespace detail

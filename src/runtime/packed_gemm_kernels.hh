@@ -2,8 +2,9 @@
  * @file
  * Internal per-ISA kernel table for the packed GEMM.
  *
- * Since the panel rework, packedMatmulNt is a cache-blocked GEMM
- * with an explicit block hierarchy chosen per ISA:
+ * packedMatmulNt is a cache-blocked GEMM with an explicit block
+ * hierarchy chosen per ISA, plus a panel-free path for decode-sized
+ * M:
  *
  *   NC  columns of W form a *panel*: each panel's M2XFP groups are
  *       decoded exactly once per worker thread into an L2-resident
@@ -15,9 +16,7 @@
  *       loads the subgroup's 32-bit element word from each of the
  *       NR rows, so every depth position is a shift, a vpermps LUT
  *       lookup, a per-lane scale multiply and two contiguous double
- *       stores — no per-weight scalar transpose. At decode-sized M
- *       the panel decode is most of the GEMM, so this is the cost
- *       that sets single-sequence step time.
+ *       stores — no per-weight scalar transpose.
  *   MC  rows of A form a *block*, decoded once per (panel, block)
  *       task into a row-major double buffer.
  *   KC  slices the depth: the register-tile sweep walks K in KC
@@ -27,9 +26,15 @@
  *       call, accumulating into a persistent double accumulator so
  *       KC slicing never splits a summation chain.
  *
- * packedMatmulNt owns the block grid, the thread distribution and
- * the per-thread panel cache; everything below — the sliver decode
- * of the W panels, the row decode of the A blocks and the
+ * At decode-sized M (at most MR rows of A) the vector tiers write no
+ * panel: the sliver tile runs the same sliver decode and feeds each
+ * depth position straight to the register tile's FMAs. Its outputs
+ * are the panel path's chains, bit for bit, so no row's output
+ * depends on the batch size.
+ *
+ * packedMatmulNt owns the path choice, the block grid, the thread
+ * distribution and the per-thread panel cache; everything below —
+ * the sliver decode of W, the row decode of the A blocks and the
  * register-tile accumulation — is an ISA-specific kernel selected
  * through gemmKernels(). The scalar
  * tier accumulates each output in ascending-k order, excluding the
@@ -51,12 +56,15 @@
 #define M2X_RUNTIME_PACKED_GEMM_KERNELS_HH__
 
 #include <cstddef>
+#include <type_traits>
+#include <utility>
 
 #include "core/m2xfp_packed.hh"
 #include "quant/matrix.hh"
 #include "runtime/codec_traits.hh"
 #include "runtime/simd.hh"
 #include "runtime/thread_pool.hh"
+#include "util/logging.hh"
 
 namespace m2x {
 namespace runtime {
@@ -120,6 +128,32 @@ using DecodeSliverFn = void (*)(const PackedM2xfpTensor &w,
                                 size_t jbase, size_t jlim, size_t nr,
                                 double *sliver);
 
+/**
+ * The decode-fused tile of the panel-free path: for @p rows <= mr A
+ * rows, c = the microkernel sweep (from acc = +0.0, acc_stride = nr)
+ * over the whole padded depth of the sliver decodeWeightSliver would
+ * write for W rows [jbase, jbase + jlim) — bit-identical, with the
+ * sliver decoded straight into registers.
+ */
+using SliverTileFn = void (*)(const PackedM2xfpTensor &w, size_t jbase,
+                              size_t jlim, const double *a,
+                              size_t a_stride, size_t rows, double *c);
+
+/** f(std::integral_constant<size_t, rows>) for 1 <= rows <= Max:
+ *  the vector register tiles are compiled per row count. */
+template <size_t Max, class F>
+inline void
+withTileRows(size_t rows, F &&f)
+{
+    m2x_assert(rows >= 1 && rows <= Max, "tile rows %zu not in [1, %zu]",
+               rows, Max);
+    [&]<size_t... R>(std::index_sequence<R...>) {
+        ((rows == R + 1 ? f(std::integral_constant<size_t, R + 1>{})
+                        : void()),
+         ...);
+    }(std::make_index_sequence<Max>{});
+}
+
 /** The per-ISA kernel set used by packedMatmulNt. */
 struct GemmKernels
 {
@@ -130,6 +164,8 @@ struct GemmKernels
     /** Sg-EM family weight panels: the sliver form of
      *  decodeWeightRows (see sliverDecoder). */
     DecodeSliverFn decodeWeightSliver;
+    /** Null on the scalar tier (see sliverTile). */
+    SliverTileFn sliverTile;
     MicroKernelFn microKernel;
     GemmBlocking blocking;    //!< per-ISA default block hierarchy
     /** Vector tiers sweep the zero-padded K tail; the scalar oracle
@@ -162,6 +198,10 @@ DecodeRowsFn rowsDecoder(GroupDecodeKind kind,
  * transpose).
  */
 DecodeSliverFn sliverDecoder(const PackedCodecInfo &info, SimdIsa isa);
+
+/** The tier's sliverTile where sliverDecoder() hands weights of
+ *  geometry @p info the tier's own sliver kernel, else null. */
+SliverTileFn sliverTile(const PackedCodecInfo &info, SimdIsa isa);
 
 /**
  * The block hierarchy packedMatmulNt uses for @p isa: the kernel
@@ -234,6 +274,9 @@ void decodeWeightRowsAvx2(const PackedM2xfpTensor &t, size_t row0,
 /** Sg-EM sliver decode for nr=8: one masked gather per subgroup. */
 void decodeWeightSliverAvx2(const PackedM2xfpTensor &w, size_t jbase,
                             size_t jlim, size_t nr, double *sliver);
+void sliverTileKernelAvx2(const PackedM2xfpTensor &w, size_t jbase,
+                          size_t jlim, const double *a,
+                          size_t a_stride, size_t rows, double *c);
 
 /** @{
  * Vector group decodes, bit-identical to the generic CodecTraits
@@ -263,6 +306,9 @@ void decodeWeightRowsAvx512(const PackedM2xfpTensor &t, size_t row0,
 /** Sg-EM sliver decode for nr=16: one masked gather per subgroup. */
 void decodeWeightSliverAvx512(const PackedM2xfpTensor &w, size_t jbase,
                               size_t jlim, size_t nr, double *sliver);
+void sliverTileKernelAvx512(const PackedM2xfpTensor &w, size_t jbase,
+                            size_t jlim, const double *a,
+                            size_t a_stride, size_t rows, double *c);
 void decodeWeightGroupAvx512(const PackedM2xfpTensor &t, size_t row,
                              size_t group, float *out);
 /** @} */

@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -420,42 +421,104 @@ TEST(PackedGemm, RowsAreIndependentOfBatchOnEveryTier)
     // Every output row of a batched product must carry the same bits
     // as that row multiplied alone: the GEMM-level invariant behind
     // batched == single-sequence serving. The batch runs on a
-    // 3-lane pool, each single row serially.
-    const size_t n = 40, k = 200;
+    // 3-lane pool, each single row serially. The row counts straddle
+    // the register tile (M <= mr takes the decode-fused tile where
+    // the tier has one, M > mr the panel), K = 512 runs the panel
+    // path in two kc slices against the tile's one unbroken chain,
+    // N = 300 spans several nc panels with a ragged last sliver, and
+    // W's depth pad holds random codes that must never reach a sum.
+    // Group 0 of every row gets a 2^60 scale and the last full group
+    // its exact negation (W codes sign-flipped, A bytes copied), so
+    // each sum rises past 2^60, takes the middle groups' products
+    // rounded at that magnitude and falls back: a chain split or
+    // reordered anywhere shows in the float outputs.
+    const size_t n = 300;
+    const uint8_t big_scale = 127 + 60; // E8M0 2^60
     ThreadPool pool(3);
     ThreadPool serial(1);
     for (PackedCodec codec : allPackedCodecs()) {
-        Matrix w = randomMatrix(n, k, 500, 6.0);
-        PackedM2xfpTensor pw =
-            PackedM2xfpTensor::packWeightsCodec(w, codec);
-        for (size_t m : {1, 3, 8, 17, 33}) {
-            Matrix a = randomMatrix(m, k, 600 + m, 4.0);
-            PackedM2xfpTensor pa =
-                PackedM2xfpTensor::packActivationsCodec(a, codec);
-            size_t gpr = pa.groupsPerRow();
-            size_t eb = gpr * pa.codecInfo().bytesPerGroupElems;
+        const PackedCodecInfo &info = packedCodecInfo(codec);
+        for (SimdIsa isa : supportedSimdIsas()) {
+            // Every E8M0 codec takes the tile on the vector tiers;
+            // the scalar oracle and M2-NVFP4 weights never do.
+            bool tiles = isa != SimdIsa::Scalar && !info.scaleIsFp8;
+            EXPECT_EQ(detail::sliverTile(info, isa) != nullptr, tiles)
+                << simdIsaName(isa) << " " << packedCodecName(codec);
+        }
+        for (size_t k : {200, 512}) {
+            Matrix w = randomMatrix(n, k, 500 + k, 6.0);
+            PackedM2xfpTensor packed =
+                PackedM2xfpTensor::packWeightsCodec(w, codec);
+            size_t gpr = packed.groupsPerRow();
+            size_t gb = info.bytesPerGroupElems;
+            size_t mirror = k / info.groupSize - 1;
+            std::vector<uint8_t> elems = packed.elementStream();
+            std::vector<uint8_t> scales = packed.scaleStream();
+            std::vector<uint8_t> meta = packed.metadataStream();
+            for (size_t r = 0; r < n; ++r) {
+                uint8_t *g0 = &elems[r * gpr * gb];
+                for (size_t b = 0; b < gb; ++b)
+                    g0[mirror * gb + b] = g0[b] ^ 0x88;
+                scales[r * gpr] = scales[r * gpr + mirror] = big_scale;
+                meta[r * gpr + mirror] = meta[r * gpr];
+            }
+            Rng rng(k);
+            for (size_t r = 0; r < n; ++r)
+                for (size_t p = k; p < gpr * info.groupSize; ++p) {
+                    uint8_t &b = elems[r * gpr * gb + p / 2];
+                    unsigned sh = 4 * (p % 2);
+                    b = static_cast<uint8_t>(
+                        (b & ~(0xfu << sh)) | ((rng.next() & 0xfu) << sh));
+                }
+            PackedM2xfpTensor pw = PackedM2xfpTensor::fromRawStreams(
+                n, k, std::move(elems), std::move(scales),
+                std::move(meta), codec);
             for (SimdIsa isa : supportedSimdIsas()) {
-                SCOPED_TRACE(std::string(simdIsaName(isa)) + " " +
-                             packedCodecName(codec) +
-                             " m=" + std::to_string(m));
-                Matrix batched = packedMatmulNt(pa, pw, &pool, isa);
-                for (size_t i = 0; i < m; ++i) {
-                    auto slice = [&](const std::vector<uint8_t> &s,
-                                     size_t len) {
-                        return std::vector<uint8_t>(
-                            s.begin() + i * len,
-                            s.begin() + (i + 1) * len);
-                    };
-                    PackedM2xfpTensor row =
+                size_t mr = detail::gemmKernels(isa).blocking.mr;
+                for (size_t m : {size_t{1}, mr - 1, mr, mr + 1,
+                                 2 * mr + 1}) {
+                    SCOPED_TRACE(std::string(simdIsaName(isa)) + " " +
+                                 packedCodecName(codec) +
+                                 " k=" + std::to_string(k) +
+                                 " m=" + std::to_string(m));
+                    PackedM2xfpTensor packed_a =
+                        PackedM2xfpTensor::packActivationsCodec(
+                            randomMatrix(m, k, 600 + m, 4.0), codec);
+                    std::vector<uint8_t> ae = packed_a.elementStream();
+                    std::vector<uint8_t> as = packed_a.scaleStream();
+                    std::vector<uint8_t> am = packed_a.metadataStream();
+                    for (size_t r = 0; r < m; ++r) {
+                        uint8_t *g0 = &ae[r * gpr * gb];
+                        std::copy_n(g0, gb, g0 + mirror * gb);
+                        as[r * gpr + mirror] = as[r * gpr];
+                        am[r * gpr + mirror] = am[r * gpr];
+                    }
+                    PackedM2xfpTensor pa =
                         PackedM2xfpTensor::fromRawStreams(
-                            1, k, slice(pa.elementStream(), eb),
-                            slice(pa.scaleStream(), gpr),
-                            slice(pa.metadataStream(), gpr), codec);
-                    Matrix alone = packedMatmulNt(row, pw, &serial, isa);
-                    ASSERT_EQ(std::memcmp(&batched(i, 0), &alone(0, 0),
-                                          n * sizeof(float)),
-                              0)
-                        << "row " << i;
+                            m, k, std::move(ae), std::move(as),
+                            std::move(am), codec);
+                    size_t eb = gpr * gb;
+                    Matrix batched = packedMatmulNt(pa, pw, &pool, isa);
+                    for (size_t i = 0; i < m; ++i) {
+                        auto slice = [&](const std::vector<uint8_t> &s,
+                                         size_t len) {
+                            return std::vector<uint8_t>(
+                                s.begin() + i * len,
+                                s.begin() + (i + 1) * len);
+                        };
+                        PackedM2xfpTensor row =
+                            PackedM2xfpTensor::fromRawStreams(
+                                1, k, slice(pa.elementStream(), eb),
+                                slice(pa.scaleStream(), gpr),
+                                slice(pa.metadataStream(), gpr), codec);
+                        Matrix alone =
+                            packedMatmulNt(row, pw, &serial, isa);
+                        ASSERT_EQ(std::memcmp(&batched(i, 0),
+                                              &alone(0, 0),
+                                              n * sizeof(float)),
+                                  0)
+                            << "row " << i;
+                    }
                 }
             }
         }
